@@ -209,6 +209,16 @@ Result<bool> LinearConstraint::Evaluate(const IntAssignment& assignment) const {
 
 namespace {
 
+Status BranchCapExceeded(size_t branches, size_t max_branches) {
+  return Status::ResourceExhausted(
+             StringFormat("DNF expansion exceeded its branch cap in "
+                          "solverlp.linear: %zu of %zu branches",
+                          branches, max_branches))
+      .WithStopReason(StopReason{StopKind::kBranchBudget,
+                                 names::kModSolverlpLinear, branches,
+                                 max_branches});
+}
+
 // Recursive DNF expansion with polarity tracking (negations pushed to atoms).
 Status ToDnfImpl(const LinearConstraint& c, bool positive, size_t max_branches,
                  std::vector<LinearSystem>* out) {
@@ -250,13 +260,7 @@ Status ToDnfImpl(const LinearConstraint& c, bool positive, size_t max_branches,
         for (const auto& ch : c.children()) {
           FO2DT_RETURN_NOT_OK(ToDnfImpl(ch, positive, max_branches, out));
           if (out->size() > max_branches) {
-            return Status::ResourceExhausted(
-                       StringFormat("DNF expansion exceeded its branch cap in "
-                                    "solverlp.linear: %zu of %zu branches",
-                                    out->size(), max_branches))
-                .WithStopReason(StopReason{StopKind::kBranchBudget,
-                                           names::kModSolverlpLinear, out->size(),
-                                           max_branches});
+            return BranchCapExceeded(out->size(), max_branches);
           }
         }
         return Status::OK();
@@ -268,20 +272,20 @@ Status ToDnfImpl(const LinearConstraint& c, bool positive, size_t max_branches,
         FO2DT_RETURN_NOT_OK(ToDnfImpl(ch, positive, max_branches, &child_dnf));
         std::vector<LinearSystem> next;
         next.reserve(acc.size() * child_dnf.size());
-        for (const auto& left : acc) {
+        for (auto& left : acc) {
           for (const auto& right : child_dnf) {
-            LinearSystem merged = left;
+            // The last branch takes `left` itself, so a single-branch child
+            // extends each accumulated system without copying it.
+            LinearSystem merged;
+            if (&right == &child_dnf.back()) {
+              merged.swap(left);
+            } else {
+              merged = left;
+            }
             merged.insert(merged.end(), right.begin(), right.end());
             next.push_back(std::move(merged));
             if (next.size() > max_branches) {
-              return Status::ResourceExhausted(
-                         StringFormat(
-                             "DNF expansion exceeded its branch cap in "
-                             "solverlp.linear: %zu of %zu branches",
-                             next.size(), max_branches))
-                  .WithStopReason(StopReason{StopKind::kBranchBudget,
-                                             names::kModSolverlpLinear, next.size(),
-                                             max_branches});
+              return BranchCapExceeded(next.size(), max_branches);
             }
           }
         }

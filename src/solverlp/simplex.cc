@@ -54,98 +54,105 @@ struct PivotTally {
 
 }  // namespace
 
-IncrementalSimplex::IncrementalSimplex(const IncrementalSimplex& o)
-    : num_cols_(o.num_cols_),
-      stride_(o.stride_),
-      num_rows_(o.num_rows_),
-      rhs_(o.rhs_),
-      basis_(o.basis_),
-      col_to_row_(o.col_to_row_),
-      cost_(o.cost_),
-      num_vars_(o.num_vars_),
-      feasible_(o.feasible_),
-      base_(o.base_),
-      lower_(o.lower_),
-      upper_(o.upper_),
-      exec_(o.exec_),
-      token_(o.token_) {
-  tab_.reserve((num_rows_ + 2) * stride_);
-  tab_.insert(tab_.end(), o.tab_.begin(), o.tab_.end());
+const Rational& IncrementalSimplex::At(const SparseRow& row, size_t col) {
+  return std::lower_bound(row.begin(), row.end(), col,
+                          [](const Cell& cell, size_t c) {
+                            return cell.col < c;
+                          })->value;
 }
 
-IncrementalSimplex& IncrementalSimplex::operator=(const IncrementalSimplex& o) {
-  if (this != &o) *this = IncrementalSimplex(o);
-  return *this;
+void IncrementalSimplex::SubtractScaled(size_t i, const Rational& f,
+                                        const SparseRow& src,
+                                        size_t cancel_col) {
+  SparseRow& row = rows_[i];
+  // Drops row i from column c's index list once c cancels in row i.
+  auto unindex = [&](size_t c) {
+    std::vector<size_t>& rows = col_rows_[c];
+    *std::find(rows.begin(), rows.end(), i) = rows.back();
+    rows.pop_back();
+  };
+  size_t fill = 0;
+  auto at = row.begin();
+  for (const Cell& cell : src) {
+    at = std::lower_bound(
+        at, row.end(), cell.col,
+        [](const Cell& x, size_t c) { return x.col < c; });
+    if (at == row.end() || at->col != cell.col) ++fill;
+  }
+  // Merge in place from the back, with no scratch row: row's unread cells
+  // are [0, r), the finished ones [w, end), and the gap w - r is the fill-in
+  // still to place (once it closes, cells stay put and matching ones update
+  // where they are). Cells that cancel become zeros, compacted out last.
+  size_t r = row.size();
+  row.resize(r + fill);
+  size_t w = row.size();
+  for (auto b = src.rbegin(); b != src.rend(); ++b) {
+    for (; r > 0 && row[r - 1].col > b->col; --r) {
+      if (--w != r - 1) row[w] = std::move(row[r - 1]);
+    }
+    if (r == 0 || row[r - 1].col != b->col) {
+      col_rows_[b->col].push_back(i);
+      row[--w] = {b->col, -(f * b->value)};
+      continue;
+    }
+    Rational& a = row[--r].value;
+    if (b->col == cancel_col) {
+      a = Rational(0);
+    } else {
+      a -= f * b->value;
+      if (a.IsZero()) unindex(b->col);
+    }
+    if (--w != r) row[w] = std::move(row[r]);
+  }
+  row.erase(std::remove_if(row.begin(), row.end(),
+                           [](const Cell& x) { return x.value.IsZero(); }),
+            row.end());
+}
+
+void IncrementalSimplex::RebuildColumnIndex() {
+  col_rows_.assign(num_cols_, {});
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    for (const Cell& cell : rows_[i]) col_rows_[cell.col].push_back(i);
+  }
 }
 
 size_t IncrementalSimplex::AddColumn() {
-  // Growth keeps the slack bounded (~12.5%): branch-and-bound copies the
-  // whole tableau per node, so dead stride cells are copied on every branch
-  // and cheap restrides beat fat rows.
-  if (num_cols_ == stride_) Restride(stride_ + stride_ / 8 + 8);
-  const size_t col = num_cols_++;
-  // Defensive re-zero before the column becomes logically visible (scratch
-  // cells are zero by construction, but no pivot invariant depends on it).
-  for (size_t i = 0; i < num_rows_; ++i) Row(i)[col] = Rational(0);
   cost_.emplace_back(0);
   col_to_row_.push_back(kNoRow);
-  return col;
-}
-
-void IncrementalSimplex::Restride(size_t new_stride) {
-  std::vector<Rational> fresh;
-  fresh.reserve((num_rows_ + 2) * new_stride);  // bound-row insertion headroom
-  fresh.resize(num_rows_ * new_stride);
-  for (size_t i = 0; i < num_rows_; ++i) {
-    std::move(tab_.begin() + static_cast<ptrdiff_t>(i * stride_),
-              tab_.begin() + static_cast<ptrdiff_t>(i * stride_ + num_cols_),
-              fresh.begin() + static_cast<ptrdiff_t>(i * new_stride));
-  }
-  tab_ = std::move(fresh);
-  stride_ = new_stride;
+  col_rows_.emplace_back();
+  return num_cols_++;
 }
 
 void IncrementalSimplex::EraseRow(size_t i) {
-  std::move(tab_.begin() + static_cast<ptrdiff_t>((i + 1) * stride_),
-            tab_.begin() + static_cast<ptrdiff_t>(num_rows_ * stride_),
-            tab_.begin() + static_cast<ptrdiff_t>(i * stride_));
-  --num_rows_;
-  tab_.resize(num_rows_ * stride_);
+  rows_.erase(rows_.begin() + static_cast<ptrdiff_t>(i));
   rhs_.erase(rhs_.begin() + static_cast<ptrdiff_t>(i));
   basis_.erase(basis_.begin() + static_cast<ptrdiff_t>(i));
+  RebuildColumnIndex();
 }
 
 void IncrementalSimplex::Pivot(size_t row, size_t col) {
   ++SimplexStats::Local().pivots;
-  Rational* prow = Row(row);
-  const Rational p = prow[col];
+  SparseRow& prow = rows_[row];
+  const Rational p = At(prow, col);
   if (!p.IsOne()) {
-    for (size_t j = 0; j < num_cols_; ++j) {
-      if (!prow[j].IsZero()) prow[j] /= p;
-    }
+    for (Cell& cell : prow) cell.value /= p;
     rhs_[row] /= p;
   }
-  // Collect the pivot row's nonzero columns once; every elimination below
-  // touches only these instead of sweeping all num_cols_ cells.
-  nz_scratch_.clear();
-  for (size_t j = 0; j < num_cols_; ++j) {
-    if (j != col && !prow[j].IsZero()) {
-      nz_scratch_.push_back(static_cast<uint32_t>(j));
-    }
-  }
-  for (size_t i = 0; i < num_rows_; ++i) {
+  // Eliminate col from every other row holding it (each row independently,
+  // so the index order is irrelevant). The pivot cell is now 1, so the
+  // target's col cell cancels to exact zero; it is dropped unevaluated and
+  // col's index list is reset wholesale afterwards.
+  std::vector<size_t>& col_rows = col_rows_[col];
+  for (size_t i : col_rows) {
     if (i == row) continue;
-    Rational* target = Row(i);
-    if (target[col].IsZero()) continue;
-    const Rational f = target[col];
-    target[col] = Rational(0);  // the eliminated column needs no subtraction
-    for (uint32_t j : nz_scratch_) target[j] -= f * prow[j];
+    const Rational f = At(rows_[i], col);
+    SubtractScaled(i, f, prow, col);
     rhs_[i] -= f * rhs_[row];
   }
+  col_rows.assign(1, row);
   if (!cost_.empty() && !cost_[col].IsZero()) {
     const Rational f = cost_[col];
-    cost_[col] = Rational(0);
-    for (uint32_t j : nz_scratch_) cost_[j] -= f * prow[j];
+    for (const Cell& cell : prow) cost_[cell.col] -= f * cell.value;
   }
   col_to_row_[basis_[row]] = kNoRow;
   col_to_row_[col] = row;
@@ -168,20 +175,21 @@ Result<bool> IncrementalSimplex::RunPrimal() {
     }
     if (entering == num_cols_) return true;
 
-    // Ratio test with Bland tie-break (smallest basis column index).
-    size_t leaving = num_rows_;
+    // Ratio test with Bland tie-break (smallest basis column index). Basis
+    // indices are distinct, so the choice does not depend on row order.
+    size_t leaving = kNoRow;
     Rational best_ratio;
-    for (size_t i = 0; i < num_rows_; ++i) {
-      const Rational& a = Row(i)[entering];
+    for (size_t i : col_rows_[entering]) {
+      const Rational& a = At(rows_[i], entering);
       if (!a.IsPositive()) continue;
       Rational ratio = rhs_[i] / a;
-      if (leaving == num_rows_ || ratio < best_ratio ||
+      if (leaving == kNoRow || ratio < best_ratio ||
           (ratio == best_ratio && basis_[i] < basis_[leaving])) {
         leaving = i;
         best_ratio = std::move(ratio);
       }
     }
-    if (leaving == num_rows_) return false;
+    if (leaving == kNoRow) return false;
     ++tally.count;
     Pivot(leaving, entering);
   }
@@ -200,7 +208,7 @@ IncrementalSimplex::DualStatus IncrementalSimplex::RunDualRepair(
     }
     // Leaving row: negative rhs with the smallest basic column index (Bland).
     size_t r = kNoRow;
-    for (size_t i = 0; i < num_rows_; ++i) {
+    for (size_t i = 0; i < rows_.size(); ++i) {
       if (rhs_[i].IsNegative() && (r == kNoRow || basis_[i] < basis_[r])) {
         r = i;
       }
@@ -210,22 +218,18 @@ IncrementalSimplex::DualStatus IncrementalSimplex::RunDualRepair(
     // Entering column: smallest index with a negative coefficient. With the
     // feasibility objective all reduced costs are zero, so every such column
     // ties the dual ratio test and Bland's smallest-index choice applies.
-    const Rational* row = Row(r);
-    size_t c = num_cols_;
-    for (size_t j = 0; j < num_cols_; ++j) {
-      if (row[j].IsNegative()) {
-        c = j;
-        break;
-      }
-    }
-    if (c == num_cols_) {
+    const SparseRow& row = rows_[r];
+    auto neg = std::find_if(row.begin(), row.end(), [](const Cell& cell) {
+      return cell.value.IsNegative();
+    });
+    if (neg == row.end()) {
       // basic = rhs - sum(a_j x_j) with all a_j >= 0 and rhs < 0: no x >= 0
       // can make the basic variable non-negative.
       return DualStatus::kInfeasible;
     }
     if (++used > max_pivots) return DualStatus::kCapExceeded;
     ++tally.count;
-    Pivot(r, c);
+    Pivot(r, neg->col);
   }
 }
 
@@ -235,19 +239,16 @@ void IncrementalSimplex::InitObjective(const LinearExpr& objective) {
   std::vector<Rational> orig(num_cols_, Rational(0));
   for (const auto& [v, c] : objective.terms()) orig[v] = Rational(c);
   cost_ = orig;
-  for (size_t i = 0; i < num_rows_; ++i) {
+  for (size_t i = 0; i < rows_.size(); ++i) {
     const Rational& cb = orig[basis_[i]];
     if (cb.IsZero()) continue;
-    const Rational* row = Row(i);
-    for (size_t j = 0; j < num_cols_; ++j) {
-      if (!row[j].IsZero()) cost_[j] -= cb * row[j];
-    }
+    for (const Cell& cell : rows_[i]) cost_[cell.col] -= cb * cell.value;
   }
 }
 
 void IncrementalSimplex::RebuildColToRow() {
   col_to_row_.assign(num_cols_, kNoRow);
-  for (size_t i = 0; i < num_rows_; ++i) col_to_row_[basis_[i]] = i;
+  for (size_t i = 0; i < rows_.size(); ++i) col_to_row_[basis_[i]] = i;
 }
 
 Result<IncrementalSimplex> IncrementalSimplex::Create(
@@ -283,9 +284,7 @@ Result<IncrementalSimplex> IncrementalSimplex::CreateInternal(
   }
 
   t.num_cols_ = n + num_surplus;  // structural | surplus
-  t.stride_ = t.num_cols_ + 8;    // bound-column headroom (see AddColumn)
-  t.num_rows_ = m;
-  t.tab_.assign(m * t.stride_, Rational(0));
+  t.rows_.resize(m);
   t.rhs_.assign(m, Rational(0));
   t.basis_.assign(m, 0);
   // Ids n+num_surplus .. n+num_surplus+m-1 are the phase-1 artificials. Their
@@ -293,27 +292,25 @@ Result<IncrementalSimplex> IncrementalSimplex::CreateInternal(
   // column) and once it leaves the basis it is dropped outright (Chvatal's
   // rule — a nonbasic artificial may be deleted without changing the phase-1
   // verdict), so no entering scan ever needs its column. The tableau stays
-  // m x (n+s) instead of m x (n+s+m), which halves the zero-fill and spares
-  // every pivot from maintaining a dense m x m row-operation image.
+  // m x (n+s) instead of m x (n+s+m), which spares every pivot from
+  // maintaining an m x m row-operation image.
   t.col_to_row_.assign(t.num_cols_ + m, kNoRow);
 
   size_t surplus_at = n;
   for (size_t i = 0; i < m; ++i) {
     const LinearAtom& atom = base[i];
-    Rational* row = t.Row(i);
-    // expr >= 0 means  sum a_j x_j >= -constant; rhs = -constant.
+    SparseRow& row = t.rows_[i];
+    // expr >= 0 means  sum a_j x_j >= -constant; rhs = -constant. Terms are
+    // sorted by variable and every surplus column lies past them.
+    row.reserve(atom.expr.terms().size() + 1);
     for (const auto& [v, c] : atom.expr.terms()) {
-      row[v] = Rational(c);
+      row.push_back({v, Rational(c)});
     }
     Rational rhs = Rational(-atom.expr.constant());
-    if (atom.rel == LinearRel::kGe) {
-      row[surplus_at++] = Rational(-1);
-    }
+    if (atom.rel == LinearRel::kGe) row.push_back({surplus_at++, Rational(-1)});
     // Make rhs non-negative for phase 1.
     if (rhs.IsNegative()) {
-      for (size_t j = 0; j < t.num_cols_; ++j) {
-        if (!row[j].IsZero()) row[j] = -row[j];
-      }
+      for (Cell& cell : row) cell.value = -cell.value;
       rhs = -rhs;
     }
     t.rhs_[i] = rhs;
@@ -323,15 +320,13 @@ Result<IncrementalSimplex> IncrementalSimplex::CreateInternal(
     t.col_to_row_[art] = i;
   }
 
+  t.RebuildColumnIndex();
   // Phase 1: minimize the sum of artificials. Maintained reduced costs with
   // every artificial basic at cost 1: d_art = 0 and d_j = -sum_i T[i][j] for
   // the real columns.
   t.cost_.assign(t.num_cols_, Rational(0));
-  for (size_t i = 0; i < m; ++i) {
-    const Rational* row = t.Row(i);
-    for (size_t j = 0; j < n + num_surplus; ++j) {
-      if (!row[j].IsZero()) t.cost_[j] -= row[j];
-    }
+  for (const SparseRow& row : t.rows_) {
+    for (const Cell& cell : row) t.cost_[cell.col] -= cell.value;
   }
   FO2DT_ASSIGN_OR_RETURN(bool phase1_bounded, t.RunPrimal());
   if (!phase1_bounded) {
@@ -347,25 +342,17 @@ Result<IncrementalSimplex> IncrementalSimplex::CreateInternal(
   }
 
   // Drive any zero-level artificials out of the basis; drop redundant rows.
-  for (size_t i = 0; i < t.num_rows_;) {
+  for (size_t i = 0; i < t.rows_.size();) {
     if (t.basis_[i] < n + num_surplus) {
       ++i;
       continue;
     }
-    size_t pivot_col = t.num_cols_;
-    const Rational* row = t.Row(i);
-    for (size_t j = 0; j < n + num_surplus; ++j) {
-      if (!row[j].IsZero()) {
-        pivot_col = j;
-        break;
-      }
-    }
-    if (pivot_col == t.num_cols_) {
+    if (t.rows_[i].empty()) {
       // Row is 0 == 0 over real columns: redundant.
       t.EraseRow(i);
       continue;
     }
-    t.Pivot(i, pivot_col);
+    t.Pivot(i, t.rows_[i].front().col);
     ++i;
   }
 
@@ -383,38 +370,28 @@ void IncrementalSimplex::InsertBoundRow(VarId v, const BigInt& value,
 
   // Lower bound enters the system as  x_v - s = lo  (s >= 0), upper as
   // x_v + s = hi. If x_v is basic its row is subtracted to keep basic columns
-  // unit; a final negation (lower bounds only) makes s basic with +1.
-  // The new row is composed directly in its tableau slot (appended cells are
-  // value-initialized to zero by the resize). Capacity grows geometrically:
-  // the bounded-phase root inserts one bound row per variable, and per-row
-  // reallocation would move the whole tableau every time.
-  const size_t need = (num_rows_ + 1) * stride_;
-  if (tab_.capacity() < need) {
-    tab_.reserve(std::max(need, tab_.size() + tab_.size() / 2));
-  }
-  tab_.resize(need);
-  Rational* nrow = Row(num_rows_);
+  // unit; a final negation (lower bounds only) makes s basic with +1. The
+  // bound column is the newest, so it sorts after every other cell.
+  const size_t nrow = rows_.size();
+  rows_.push_back({{v, Rational(1)},
+                   {scol, is_upper ? Rational(1) : Rational(-1)}});
+  col_rows_[scol].push_back(nrow);
   Rational nrhs = Rational(BigInt(value));
-  nrow[v] = Rational(1);
-  nrow[scol] = is_upper ? Rational(1) : Rational(-1);
   const size_t vrow = col_to_row_[v];
   if (vrow != kNoRow) {
-    const Rational* brow = Row(vrow);
-    for (size_t j = 0; j < num_cols_; ++j) {
-      if (!brow[j].IsZero()) nrow[j] -= brow[j];
-    }
+    // x_v's unit column cancels: the new row holds no x_v cell.
+    SubtractScaled(nrow, Rational(1), rows_[vrow], v);
     nrhs -= rhs_[vrow];
+  } else {
+    col_rows_[v].push_back(nrow);
   }
   if (!is_upper) {
-    for (size_t j = 0; j < num_cols_; ++j) {
-      if (!nrow[j].IsZero()) nrow[j] = -nrow[j];
-    }
+    for (Cell& cell : rows_[nrow]) cell.value = -cell.value;
     nrhs = -nrhs;
   }
-  col_to_row_[scol] = num_rows_;
+  col_to_row_[scol] = nrow;
   basis_.push_back(scol);
   rhs_.push_back(std::move(nrhs));
-  ++num_rows_;
 
   BoundRow& b = is_upper ? upper_[v] : lower_[v];
   b.set = true;
@@ -432,15 +409,12 @@ void IncrementalSimplex::TightenBoundRow(VarId v, const BigInt& value,
   // current column of s. No pivot, no rebuild.
   const Rational db = is_upper ? Rational(delta) : Rational(-delta);
   const size_t col = b.col;
-  for (size_t i = 0; i < num_rows_; ++i) {
-    const Rational& a = Row(i)[col];
-    if (!a.IsZero()) rhs_[i] += db * a;
-  }
+  for (size_t i : col_rows_[col]) rhs_[i] += db * At(rows_[i], col);
   b.value = value;
 }
 
 size_t IncrementalSimplex::DualPivotCap() const {
-  return 100 + 10 * (num_rows_ + num_cols_);
+  return 100 + 10 * (rows_.size() + num_cols_);
 }
 
 Status IncrementalSimplex::ApplyBound(VarId v, const BigInt& value,
@@ -545,7 +519,7 @@ Status IncrementalSimplex::Rebuild() {
 
 std::vector<Rational> IncrementalSimplex::Assignment() const {
   std::vector<Rational> out(num_vars_, Rational(0));
-  for (size_t i = 0; i < num_rows_; ++i) {
+  for (size_t i = 0; i < rows_.size(); ++i) {
     if (basis_[i] < num_vars_) out[basis_[i]] = rhs_[i];
   }
   return out;

@@ -104,15 +104,6 @@ class IncrementalSimplex {
       const LinearSystem& base, VarId num_vars,
       const ExecutionContext* exec = nullptr);
 
-  /// Deep copy for branch-and-bound. Reserves two rows of tableau headroom so
-  /// the child's first bound-row insertions extend within capacity instead of
-  /// reallocating (and moving) the tableau that was just copied; the pivot
-  /// scratch buffer is transient and starts empty in the copy.
-  IncrementalSimplex(const IncrementalSimplex& o);
-  IncrementalSimplex& operator=(const IncrementalSimplex& o);
-  IncrementalSimplex(IncrementalSimplex&&) = default;
-  IncrementalSimplex& operator=(IncrementalSimplex&&) = default;
-
   bool feasible() const { return feasible_; }
   VarId num_vars() const { return num_vars_; }
 
@@ -152,15 +143,30 @@ class IncrementalSimplex {
       const LinearSystem& base, VarId num_vars, const ExecutionContext* exec,
       CancellationToken token);
 
-  // SoA tableau accessors: row i occupies tab_[i*stride_ .. i*stride_+num_cols_).
-  Rational* Row(size_t i) { return tab_.data() + i * stride_; }
-  const Rational* Row(size_t i) const { return tab_.data() + i * stride_; }
-  /// Appends a zeroed column, reusing slack stride capacity when available;
-  /// restrides the tableau otherwise. Returns the new column index.
+  /// One nonzero tableau cell.
+  struct Cell {
+    size_t col;
+    Rational value;
+  };
+  /// A tableau row: its nonzero cells sorted by column, no explicit zeros.
+  using SparseRow = std::vector<Cell>;
+
+  /// The cell of \p row at column \p col, which must be nonzero (as the
+  /// column index guarantees for every row it lists).
+  static const Rational& At(const SparseRow& row, size_t col);
+  /// Replaces row \p i with row_i - f * src (cells sorted, exact zeros
+  /// dropped) and records fill-in and cancellation in the column index.
+  /// \p cancel_col is held by both rows and cancels by construction: its
+  /// cell is dropped without arithmetic and its index list is left to the
+  /// caller.
+  void SubtractScaled(size_t i, const Rational& f, const SparseRow& src,
+                      size_t cancel_col);
+  /// Recomputes col_rows_ from the rows.
+  void RebuildColumnIndex();
+
+  /// Appends an all-zero column; returns its index.
   size_t AddColumn();
-  /// Re-lays the tableau with \p new_stride cells per row.
-  void Restride(size_t new_stride);
-  /// Removes row \p i by shifting the trailing rows up one stride.
+  /// Removes row \p i (the trailing rows shift up one index).
   void EraseRow(size_t i);
 
   void Pivot(size_t row, size_t col);
@@ -181,26 +187,23 @@ class IncrementalSimplex {
   void RebuildColToRow();
   size_t DualPivotCap() const;
 
-  // Dense exact tableau in structure-of-arrays layout: one contiguous
-  // Rational array, row i at tab_[i*stride_], logical width num_cols_ <=
-  // stride_. Rows are constraints sum_j T[i][j] x_j == rhs[i] with basis[i]
-  // basic in row i (unit column). The pivot inner loop walks contiguous
-  // memory, and branch-and-bound tableau copies are single flat vector
-  // copies instead of a row-by-row allocation storm. Cells in
-  // [num_cols_, stride_) are zero scratch (future bound columns), re-zeroed
-  // defensively by AddColumn before becoming visible. Phase-1 artificial
-  // variables exist as basis ids only — their columns are never stored
-  // (dropped at birth per Chvatal's rule), so the tableau is m x (n+s)
-  // rather than m x (n+s+m).
+  // Sparse exact tableau: rows_[i] holds the nonzero cells of row i sorted
+  // by column, over logical width num_cols_. Rows are constraints
+  // sum_j T[i][j] x_j == rhs[i] with basis[i] basic in row i (unit column).
+  // col_rows_[j] lists (unordered) the rows with a nonzero in column j, so a
+  // pivot, the ratio test and a bound tightening visit only those rows. The
+  // flow systems this solves are about 1% dense or less, so the tableau costs
+  // O(nonzeros) to build, copy and destroy instead of O(m * n). Phase-1
+  // artificial variables exist as basis ids only — their columns are never
+  // stored (dropped at birth per Chvatal's rule), so the tableau is
+  // m x (n+s) rather than m x (n+s+m).
   size_t num_cols_ = 0;
-  size_t stride_ = 0;
-  size_t num_rows_ = 0;
-  std::vector<Rational> tab_;
+  std::vector<SparseRow> rows_;
+  std::vector<std::vector<size_t>> col_rows_;
   std::vector<Rational> rhs_;
   std::vector<size_t> basis_;
   std::vector<size_t> col_to_row_;  // col -> basic row, or kNoRow
-  std::vector<Rational> cost_;      // maintained reduced-cost row
-  std::vector<uint32_t> nz_scratch_;
+  std::vector<Rational> cost_;      // maintained reduced-cost row (dense)
 
   VarId num_vars_ = 0;
   bool feasible_ = false;

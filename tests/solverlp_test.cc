@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/strings.h"
 #include "solverlp/ilp.h"
 #include "solverlp/linear.h"
 #include "solverlp/simplex.h"
@@ -96,6 +97,54 @@ TEST(LinearConstraintTest, DnfMatchesDirectEvaluation) {
         EXPECT_EQ(direct, via_dnf) << c.ToString() << " at " << x << "," << y;
       }
     }
+  }
+}
+
+TEST(LinearConstraintTest, DnfOfLongConjunctionIsCrossProduct) {
+  // 600 atoms with one two-way disjunction in the middle: the DNF is the
+  // two-element cross product, atoms in conjunct order.
+  std::vector<LinearConstraint> parts;
+  std::vector<LinearAtom> atoms;
+  for (int64_t k = 0; k < 600; ++k) {
+    atoms.push_back(LinearAtom::Ge(MakeExpr({1, k % 5}, -k)));
+    parts.push_back(LinearConstraint::Ge(atoms.back().expr));
+  }
+  const LinearAtom left = LinearAtom::Eq(MakeExpr({1, -1}, 0));
+  const LinearAtom right = LinearAtom::Ge(MakeExpr({0, 1}, -9));
+  parts.insert(parts.begin() + 300,
+               LinearConstraint::Or({LinearConstraint::Eq(left.expr),
+                                     LinearConstraint::Ge(right.expr)}));
+  const LinearConstraint c = LinearConstraint::And(parts);
+
+  auto dnf = c.ToDnf();
+  ASSERT_TRUE(dnf.ok()) << dnf.status().ToString();
+  ASSERT_EQ(dnf->size(), 2u);
+  for (size_t b = 0; b < 2; ++b) {
+    LinearSystem expected(atoms.begin(), atoms.begin() + 300);
+    expected.push_back(b == 0 ? left : right);
+    expected.insert(expected.end(), atoms.begin() + 300, atoms.end());
+    const LinearSystem& got = (*dnf)[b];
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].ToString(), expected[i].ToString()) << b << " " << i;
+    }
+  }
+
+  // The branch cap trips at the same sizes as the plain cross product: the
+  // disjunction's second branch at cap 1, the very first conjunct at cap 0.
+  EXPECT_TRUE(c.ToDnf(2).ok());
+  for (size_t cap : {size_t{1}, size_t{0}}) {
+    auto capped = c.ToDnf(cap);
+    ASSERT_FALSE(capped.ok());
+    EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(capped.status().message(),
+              StringFormat("DNF expansion exceeded its branch cap in "
+                           "solverlp.linear: %zu of %zu branches",
+                           cap + 1, cap));
+    ASSERT_NE(capped.status().stop_reason(), nullptr);
+    EXPECT_EQ(capped.status().stop_reason()->kind, StopKind::kBranchBudget);
+    EXPECT_EQ(capped.status().stop_reason()->counter, cap + 1);
+    EXPECT_EQ(capped.status().stop_reason()->limit, cap);
   }
 }
 
@@ -360,9 +409,32 @@ TEST(IncrementalSimplexTest, CopiesAreIndependent) {
   EXPECT_TRUE(inc->feasible());
 }
 
-TEST(IncrementalSimplexTest, RandomizedAgainstFreshSolves) {
-  RandomSource rng(31337);
-  for (int iter = 0; iter < 60; ++iter) {
+// Checks feasibility of \p inc against a from-scratch solve of \p sys.
+void ExpectMatchesFreshSolve(const IncrementalSimplex& inc,
+                             const LinearSystem& sys, VarId n) {
+  auto fresh = SimplexSolver::FindFeasible(sys, n);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_EQ(inc.feasible(), fresh->status == LpStatus::kOptimal);
+}
+
+// The explicit-system atom for x_v >= value (lower) or x_v <= value (upper).
+LinearAtom BoundAtom(VarId v, bool upper, int64_t value) {
+  LinearExpr e;
+  e.AddTerm(v, BigInt(upper ? -1 : 1));
+  e.AddConstant(BigInt(upper ? value : -value));
+  return LinearAtom::Ge(std::move(e));
+}
+
+// Builds \p iters seeded random systems over 3 variables, applies a random
+// monotone bound sequence to each incremental tableau, and checks every step
+// against a fresh solve of the equivalent explicit system. With
+// \p cancelling, every system also carries rows that are exact combinations
+// of its random rows, so eliminations cancel cells to exact zero (and phase 1
+// meets redundant 0 == 0 rows); midway through each walk the tableau is
+// copied after fill-in and the copy is driven down a different branch.
+void RunIncrementalWalks(uint64_t seed, int iters, bool cancelling) {
+  RandomSource rng(seed);
+  for (int iter = 0; iter < iters; ++iter) {
     const VarId n = 3;
     LinearSystem base;
     const size_t rows = 1 + rng.UniformIndex(3);
@@ -375,11 +447,27 @@ TEST(IncrementalSimplexTest, RandomizedAgainstFreshSolves) {
       base.push_back(rng.Bernoulli(0.3) ? LinearAtom::Eq(std::move(e))
                                         : LinearAtom::Ge(std::move(e)));
     }
+    if (cancelling) {
+      // Positive combinations of consecutive rows (implied, so the verdict
+      // is unchanged) and a negated (equality) or doubled copy of row 0.
+      for (size_t i = 0; i + 1 < rows; ++i) {
+        const BigInt k1(rng.UniformInt(1, 3));
+        const BigInt k2(rng.UniformInt(1, 3));
+        LinearExpr e = base[i].expr * k1 + base[i + 1].expr * k2;
+        const bool eq = base[i].rel == LinearRel::kEq &&
+                        base[i + 1].rel == LinearRel::kEq;
+        base.push_back(eq ? LinearAtom::Eq(std::move(e))
+                          : LinearAtom::Ge(std::move(e)));
+      }
+      if (base[0].rel == LinearRel::kEq) {
+        base.push_back(LinearAtom::Eq(-base[0].expr));
+      } else {
+        base.push_back(LinearAtom::Ge(base[0].expr * BigInt(2)));
+      }
+    }
     auto inc = IncrementalSimplex::Create(base, n);
     ASSERT_TRUE(inc.ok());
-    auto fresh0 = SimplexSolver::FindFeasible(base, n);
-    ASSERT_TRUE(fresh0.ok());
-    ASSERT_EQ(inc->feasible(), fresh0->status == LpStatus::kOptimal);
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesFreshSolve(*inc, base, n));
     if (!inc->feasible()) continue;
 
     // Apply a random monotone bound sequence, mirroring into an explicit
@@ -400,16 +488,121 @@ TEST(IncrementalSimplexTest, RandomizedAgainstFreshSolves) {
       Status st = upper ? inc->SetUpperBound(v, BigInt(value))
                         : inc->SetLowerBound(v, BigInt(value));
       ASSERT_TRUE(st.ok()) << st.ToString();
-      LinearExpr e;
-      e.AddTerm(v, BigInt(upper ? -1 : 1));
-      e.AddConstant(BigInt(upper ? value : -value));
-      explicit_sys.push_back(LinearAtom::Ge(std::move(e)));
-      auto fresh = SimplexSolver::FindFeasible(explicit_sys, n);
-      ASSERT_TRUE(fresh.ok());
-      ASSERT_EQ(inc->feasible(), fresh->status == LpStatus::kOptimal)
-          << "iter " << iter << " step " << step;
+      explicit_sys.push_back(BoundAtom(v, upper, value));
+      SCOPED_TRACE(testing::Message() << "iter " << iter << " step " << step);
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesFreshSolve(*inc, explicit_sys, n));
+      if (cancelling && step == 2 && inc->feasible()) {
+        // Down-branch copy: x_w <= lo_w pins w, the original keeps going.
+        const VarId w = static_cast<VarId>(rng.UniformIndex(n));
+        IncrementalSimplex down = *inc;
+        ASSERT_TRUE(down.SetUpperBound(w, BigInt(lo[w])).ok());
+        LinearSystem down_sys = explicit_sys;
+        down_sys.push_back(BoundAtom(w, /*upper=*/true, lo[w]));
+        ASSERT_NO_FATAL_FAILURE(ExpectMatchesFreshSolve(down, down_sys, n));
+        ASSERT_NO_FATAL_FAILURE(ExpectMatchesFreshSolve(*inc, explicit_sys, n));
+      }
     }
   }
+}
+
+// Also pins the exact pivot sequence of the walks and their fresh solves:
+// any change to a Bland choice (entering column, ratio-test tie-break, dual
+// repair, artificial drive-out) moves at least one of these counts, so a
+// change to the tableau's layout or bookkeeping must reproduce them exactly.
+TEST(IncrementalSimplexTest, RandomizedAgainstFreshSolves) {
+  SimplexStats::Reset();
+  ASSERT_NO_FATAL_FAILURE(RunIncrementalWalks(31337, 60, false));
+  ASSERT_NO_FATAL_FAILURE(RunIncrementalWalks(4242, 120, true));
+  SimplexCounters walks = SimplexStats::Aggregate();
+  EXPECT_EQ(walks.pivots, 6399u);
+  EXPECT_EQ(walks.tableau_builds, 1100u);
+  EXPECT_EQ(walks.warm_starts, 679u);
+  EXPECT_EQ(walks.warm_start_hits, 679u);
+}
+
+// A Parikh-image flow system shaped like the LCTA emptiness checks: a
+// layered graph (width 12, 24 layers, every node feeding two successors)
+// with one conservation equality per node, a unit of throughput, and parity
+// and lower-bound side constraints on seeded edges that make the LP vertex
+// fractional. 303 rows over 583 variables.
+LinearSystem FlowShapedSystem(VarId* num_vars) {
+  constexpr VarId kWidth = 12;
+  constexpr VarId kLayers = 24;
+  VarId next = 0;
+  const VarId flow = next++;
+  // in[l][j] / out[l][j]: edge variables entering / leaving node (l, j).
+  std::vector<std::vector<std::vector<VarId>>> in(
+      kLayers, std::vector<std::vector<VarId>>(kWidth));
+  std::vector<std::vector<std::vector<VarId>>> out = in;
+  std::vector<VarId> source_edges;
+  std::vector<VarId> sink_edges;
+  for (VarId j = 0; j < kWidth; ++j) {
+    source_edges.push_back(next);
+    in[0][j].push_back(next++);
+  }
+  for (VarId l = 0; l + 1 < kLayers; ++l) {
+    for (VarId j = 0; j < kWidth; ++j) {
+      for (VarId k : {j, (j + 1) % kWidth}) {
+        out[l][j].push_back(next);
+        in[l + 1][k].push_back(next++);
+      }
+    }
+  }
+  for (VarId j = 0; j < kWidth; ++j) {
+    sink_edges.push_back(next);
+    out[kLayers - 1][j].push_back(next++);
+  }
+  LinearSystem sys;
+  for (VarId l = 0; l < kLayers; ++l) {
+    for (VarId j = 0; j < kWidth; ++j) {
+      LinearExpr e;
+      for (VarId v : in[l][j]) e.AddTerm(v, BigInt(1));
+      for (VarId v : out[l][j]) e.AddTerm(v, BigInt(-1));
+      sys.push_back(LinearAtom::Eq(std::move(e)));
+    }
+  }
+  LinearExpr src = LinearExpr::Variable(flow) * BigInt(-1);
+  for (VarId v : source_edges) src.AddTerm(v, BigInt(1));
+  sys.push_back(LinearAtom::Eq(std::move(src)));
+  LinearExpr snk = LinearExpr::Variable(flow) * BigInt(-1);
+  for (VarId v : sink_edges) snk.AddTerm(v, BigInt(1));
+  sys.push_back(LinearAtom::Eq(std::move(snk)));
+  sys.push_back(
+      LinearAtom::Ge(LinearExpr::Variable(flow) - LinearExpr(BigInt(1))));
+  // Side constraints on seeded edges: x_e >= 1 routes flow through e, and
+  // 2*y == x_e makes that flow even, which the LP vertex x_e = 1 violates.
+  RandomSource rng(7);
+  const VarId num_edges = next - 1;
+  for (int k = 0; k < 6; ++k) {
+    const VarId e = 1 + static_cast<VarId>(rng.UniformIndex(num_edges));
+    const VarId y = next++;
+    LinearExpr parity = LinearExpr::Variable(y) * BigInt(2);
+    parity.AddTerm(e, BigInt(-1));
+    sys.push_back(LinearAtom::Eq(std::move(parity)));
+    sys.push_back(
+        LinearAtom::Ge(LinearExpr::Variable(e) - LinearExpr(BigInt(1))));
+  }
+  *num_vars = next;
+  return sys;
+}
+
+// Pins the exact pivot sequence and branch-and-bound tree of one
+// several-hundred-row ILP, as RandomizedAgainstFreshSolves does for the
+// small seeded systems.
+TEST(SimplexStatsTest, PivotSequenceIsPinned) {
+  VarId n = 0;
+  const LinearSystem flow = FlowShapedSystem(&n);
+  SimplexStats::Reset();
+  auto r = IlpSolver::FindIntegerPoint(flow, n);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(r->feasible);
+  for (const auto& atom : flow) EXPECT_TRUE(*atom.Evaluate(r->assignment));
+  SimplexCounters ilp = SimplexStats::Aggregate();
+  EXPECT_EQ(r->nodes_explored, 13u);
+  EXPECT_EQ(ilp.pivots, 490u);
+  EXPECT_EQ(ilp.tableau_builds, 1u);
+  EXPECT_EQ(ilp.warm_starts, 12u);
+  EXPECT_EQ(ilp.warm_start_hits, 12u);
 }
 
 TEST(IlpTest, SolveDnfDeterministicAcrossThreadCounts) {
