@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Runs the two solver-core benchmarks and writes their JSON reports to the
-# repo root (BENCH_lcta.json, BENCH_constraints.json). These files are
-# committed so the performance trajectory of the exact Presburger core is
-# reviewable per PR; see EXPERIMENTS.md for how to regenerate and compare.
+# Runs the solver benchmarks and writes their JSON reports to the repo root:
+# BENCH_lcta.json and BENCH_constraints.json (the exact Presburger core, and
+# Prop. 5 through both routes), BENCH_satisfiability.json (TH1 bounded model
+# search) and BENCH_xpath.json (TH3 LocalDataXPath decisions). These files
+# are committed so the performance trajectory is reviewable per PR; see
+# EXPERIMENTS.md for how to regenerate and compare.
 #
-# Each report now carries per-phase breakdowns (phase_<name>_ms /
-# phase_<name>_effort counters) from the observability layer; the raw
-# span/metrics dump of each run goes to <build-dir>/bench/TRACE_*.json and
-# is not committed.
+# The lcta and constraints reports also carry per-phase breakdowns
+# (phase_<name>_ms / phase_<name>_effort counters) from the observability
+# layer; the raw span/metrics dump of each of those runs goes to
+# <build-dir>/bench/TRACE_*.json and is not committed.
 #
 # Usage: bench/run_bench.sh [build-dir]    (default: ./build)
 set -euo pipefail
@@ -23,11 +25,14 @@ if [[ -z "${FO2DT_COMPILE_DB:-}" && -f "$BUILD_DIR/compile_commands.json" ]]; th
   export FO2DT_COMPILE_DB="$BUILD_DIR"
 fi
 
-if [[ ! -x "$BUILD_DIR/bench/bench_lcta_emptiness" ]]; then
-  echo "error: $BUILD_DIR/bench/bench_lcta_emptiness not built." >&2
-  echo "  cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo && cmake --build $BUILD_DIR -j" >&2
-  exit 1
-fi
+for bin in bench_lcta_emptiness bench_constraints bench_satisfiability \
+           bench_xpath_containment; do
+  if [[ ! -x "$BUILD_DIR/bench/$bin" ]]; then
+    echo "error: $BUILD_DIR/bench/$bin not built." >&2
+    echo "  cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo && cmake --build $BUILD_DIR -j" >&2
+    exit 1
+  fi
+done
 
 # min_time keeps the slow grid points bounded while still averaging the fast
 # ones over many iterations (google-benchmark wants a plain double here).
@@ -40,7 +45,7 @@ TIMEOUT_SECS="${BENCH_TIMEOUT_SECS:-600}"
 
 # Query-log pass-through: when the caller exports FO2DT_QUERY_LOG, each bench
 # binary appends its facade solves to a per-binary JSONL derived from it
-# (<base>_lcta.jsonl / <base>_constraints.jsonl), so fo2dt_report can compute
+# (<base>_lcta.jsonl, <base>_constraints.jsonl, ...), so fo2dt_report can compute
 # per-workload cache hit rates without two binaries interleaving one file.
 QUERY_LOG_BASE="${FO2DT_QUERY_LOG:-}"
 query_log_for() {
@@ -88,6 +93,18 @@ run_guarded BENCH_constraints.json "$BUILD_DIR/bench/bench_constraints" \
   --benchmark_format=json \
   --trace-json="$BUILD_DIR/bench/TRACE_constraints.json"
 
+# The TH1/TH3 binaries use the stock benchmark main: no --trace-json and no
+# phase counters, so the phase and cache checks below do not apply to them.
+FO2DT_QUERY_LOG="$(query_log_for satisfiability)" \
+run_guarded BENCH_satisfiability.json "$BUILD_DIR/bench/bench_satisfiability" \
+  --benchmark_min_time="$MIN_TIME" \
+  --benchmark_format=json
+
+FO2DT_QUERY_LOG="$(query_log_for xpath)" \
+run_guarded BENCH_xpath.json "$BUILD_DIR/bench/bench_xpath_containment" \
+  --benchmark_min_time="$MIN_TIME" \
+  --benchmark_format=json
+
 # A benchmark that self-skips (state.SkipWithError) surfaces in the
 # google-benchmark JSON as error_occurred / a skip message, with garbage or
 # zero counters. Mark those entries with an explicit "skipped": true so
@@ -114,8 +131,10 @@ if marked:
           (path, marked, "y" if marked == 1 else "ies"))
 EOF
 }
-mark_skipped BENCH_lcta.json
-mark_skipped BENCH_constraints.json
+for f in BENCH_lcta.json BENCH_constraints.json BENCH_satisfiability.json \
+         BENCH_xpath.json; do
+  mark_skipped "$f"
+done
 
 # The committed reports must carry the per-phase breakdown; catch a silent
 # regression (e.g. a bench binary that dropped its ReportPhaseCounters call).
@@ -143,7 +162,9 @@ for f in BENCH_lcta.json BENCH_constraints.json; do
   done
 done
 
-echo "wrote BENCH_lcta.json and BENCH_constraints.json"
+echo "wrote BENCH_lcta.json, BENCH_constraints.json," \
+     "BENCH_satisfiability.json and BENCH_xpath.json"
 if [[ -n "$QUERY_LOG_BASE" ]]; then
-  echo "query logs: $(query_log_for lcta) and $(query_log_for constraints)"
+  echo "query logs: $(query_log_for lcta), $(query_log_for constraints)," \
+       "$(query_log_for satisfiability) and $(query_log_for xpath)"
 fi

@@ -127,30 +127,6 @@ bool TreeAutomaton::IsAcceptingRun(const DataTree& t, const TreeRun& run) const 
 
 namespace {
 
-/// Post-order traversal (children before parent, siblings left to right).
-std::vector<NodeId> PostOrder(const DataTree& t) {
-  std::vector<NodeId> out;
-  if (t.empty()) return out;
-  out.reserve(t.size());
-  struct Item {
-    NodeId node;
-    bool expanded;
-  };
-  std::vector<Item> stack = {{t.root(), false}};
-  while (!stack.empty()) {
-    Item it = stack.back();
-    stack.pop_back();
-    if (it.expanded) {
-      out.push_back(it.node);
-      continue;
-    }
-    stack.push_back({it.node, true});
-    std::vector<NodeId> kids = t.Children(it.node);
-    for (size_t i = kids.size(); i-- > 0;) stack.push_back({kids[i], false});
-  }
-  return out;
-}
-
 /// Copies a Bitset into a \p ws-word arena row (padding with zeros).
 void CopyMask(const Bitset& set, uint64_t* row, size_t ws) {
   const std::vector<uint64_t>& words = set.words();
@@ -158,42 +134,37 @@ void CopyMask(const Bitset& set, uint64_t* row, size_t ws) {
   for (size_t w = 0; w < n; ++w) row[w] = words[w];
 }
 
-}  // namespace
+/// How the run-state propagation ended.
+enum class RunCheck { kNodeWithoutState, kRootRejected, kAccepted };
 
 // Computes, for each node v, the set P(v) of states consistent with v's
-// subtree and with v's left siblings (and their subtrees). NotFound when some
-// node admits no state. The propagation runs over |Q|-bit rows carved from
-// the solve arena: one row per node plus three scratch rows, no per-node
-// containers.
-Result<std::vector<std::vector<TreeState>>> TreeAutomaton::AcceptingRunStates(
-    const DataTree& t) const {
-  if (t.empty()) return Status::InvalidArgument("empty tree has no runs");
-  EnsureIndex();
-  const size_t ns = num_states_;
-  const size_t ws = (ns + 63) / 64;
-  SolveArena& arena = SolveArena::ThreadLocal();
-  SolveArena::Frame frame(arena);
-  uint64_t* p = arena.AllocateArray<uint64_t>(t.size() * ws);
+// subtree and with v's left siblings (and their subtrees), into \p p: one
+// zeroed \p ws-word row per node. Nodes are visited in post-order over the
+// first_child / next_sibling links; the scratch rows come from the caller's
+// arena frame, so nothing is allocated per node. On success the root's row
+// is restricted to accepting states. (Callers wanting exact per-node
+// accepting-run state sets should use a downward pass; for type assignment
+// under unambiguous schemas P(v) is already exact.)
+RunCheck PropagateRunStates(const TreeAutomaton& a, const DataTree& t,
+                            uint64_t* p, size_t ws, SolveArena& arena) {
   uint64_t* base = arena.AllocateArray<uint64_t>(ws);
   uint64_t* step = arena.AllocateArray<uint64_t>(ws);
   uint64_t* init_mask = arena.AllocateArray<uint64_t>(ws);
   uint64_t* nf_mask = arena.AllocateArray<uint64_t>(ws);
-  CopyMask(initial_, init_mask, ws);
-  CopyMask(non_first_, nf_mask, ws);
+  CopyMask(a.initial(), init_mask, ws);
+  CopyMask(a.non_first(), nf_mask, ws);
 
-  const std::vector<NodeId> order = PostOrder(t);
-  for (NodeId v : order) {
-    const bool is_leaf = t.first_child(v) == kNoNode;
+  auto propagate = [&](NodeId v) {
     // Base constraint: leaves take initial states; internal nodes take
     // δv-successors of their last child.
-    if (is_leaf) {
+    if (t.first_child(v) == kNoNode) {
       std::copy(init_mask, init_mask + ws, base);
     } else {
       std::fill(base, base + ws, uint64_t{0});
       const NodeId lc = t.last_child(v);
       const Symbol la = t.label(lc);
       ForEachSetBit(p + size_t{lc} * ws, ws, [&](uint32_t q) {
-        for (TreeState r : VerticalSuccessors(q, la)) {
+        for (TreeState r : a.VerticalSuccessors(q, la)) {
           base[r / 64] |= uint64_t{1} << (r % 64);
         }
       });
@@ -211,7 +182,7 @@ Result<std::vector<std::vector<TreeState>>> TreeAutomaton::AcceptingRunStates(
       std::fill(step, step + ws, uint64_t{0});
       const Symbol pa = t.label(prev);
       ForEachSetBit(p + size_t{prev} * ws, ws, [&](uint32_t q) {
-        for (TreeState r : HorizontalSuccessors(q, pa)) {
+        for (TreeState r : a.HorizontalSuccessors(q, pa)) {
           step[r / 64] |= uint64_t{1} << (r % 64);
         }
       });
@@ -220,23 +191,53 @@ Result<std::vector<std::vector<TreeState>>> TreeAutomaton::AcceptingRunStates(
         any |= row[w];
       }
     }
-    if (any == 0) return Status::NotFound("tree admits no run");
+    return any != 0;
+  };
+
+  // Post-order: children before parent, siblings left to right.
+  NodeId v = t.root();
+  while (t.first_child(v) != kNoNode) v = t.first_child(v);
+  for (;;) {
+    if (!propagate(v)) return RunCheck::kNodeWithoutState;
+    if (v == t.root()) break;
+    if (t.next_sibling(v) == kNoNode) {
+      v = t.parent(v);
+      continue;
+    }
+    v = t.next_sibling(v);
+    while (t.first_child(v) != kNoNode) v = t.first_child(v);
   }
-  // Filter the root by acceptance; the returned sets are the P(v) sets, with
-  // the root restricted to accepting states. (Callers wanting exact
-  // per-node accepting-run state sets should use a downward pass; for type
-  // assignment under unambiguous schemas P(v) is already exact.)
+
   uint64_t* root_row = p + size_t{t.root()} * ws;
   const Symbol root_label = t.label(t.root());
   ForEachSetBit(root_row, ws, [&](uint32_t q) {
-    if (!IsAccepting(q, root_label)) {
+    if (!a.IsAccepting(q, root_label)) {
       root_row[q / 64] &= ~(uint64_t{1} << (q % 64));
     }
   });
   uint64_t root_any = 0;
   for (size_t w = 0; w < ws; ++w) root_any |= root_row[w];
-  if (root_any == 0) return Status::NotFound("no accepting run");
+  return root_any != 0 ? RunCheck::kAccepted : RunCheck::kRootRejected;
+}
 
+}  // namespace
+
+Result<std::vector<std::vector<TreeState>>> TreeAutomaton::AcceptingRunStates(
+    const DataTree& t) const {
+  if (t.empty()) return Status::InvalidArgument("empty tree has no runs");
+  EnsureIndex();
+  const size_t ws = (num_states_ + 63) / 64;
+  SolveArena& arena = SolveArena::ThreadLocal();
+  SolveArena::Frame frame(arena);
+  uint64_t* p = arena.AllocateArray<uint64_t>(t.size() * ws);
+  switch (PropagateRunStates(*this, t, p, ws, arena)) {
+    case RunCheck::kNodeWithoutState:
+      return Status::NotFound("tree admits no run");
+    case RunCheck::kRootRejected:
+      return Status::NotFound("no accepting run");
+    case RunCheck::kAccepted:
+      break;
+  }
   std::vector<std::vector<TreeState>> out(t.size());
   for (NodeId v = 0; v < t.size(); ++v) {
     ForEachSetBit(p + size_t{v} * ws, ws,
@@ -246,7 +247,13 @@ Result<std::vector<std::vector<TreeState>>> TreeAutomaton::AcceptingRunStates(
 }
 
 bool TreeAutomaton::Accepts(const DataTree& t) const {
-  return AcceptingRunStates(t).ok();
+  if (t.empty()) return false;
+  EnsureIndex();
+  const size_t ws = (num_states_ + 63) / 64;
+  SolveArena& arena = SolveArena::ThreadLocal();
+  SolveArena::Frame frame(arena);
+  uint64_t* p = arena.AllocateArray<uint64_t>(t.size() * ws);
+  return PropagateRunStates(*this, t, p, ws, arena) == RunCheck::kAccepted;
 }
 
 Result<TreeRun> TreeAutomaton::FindAcceptingRun(const DataTree& t) const {

@@ -176,7 +176,8 @@ class TreeAutomaton {
   /// Whether \p run is an accepting run on \p t (labels read from t).
   bool IsAcceptingRun(const DataTree& t, const TreeRun& run) const;
 
-  /// Whether the automaton accepts (the data erasure of) \p t.
+  /// Whether the automaton accepts (the data erasure of) \p t. Runs the
+  /// AcceptingRunStates propagation without building its result.
   bool Accepts(const DataTree& t) const;
 
   /// An accepting run on \p t, or NotFound if none exists.

@@ -150,12 +150,19 @@ bool NextRestrictedGrowthString(std::vector<size_t>* rgs) {
 }
 
 /// Enumerates data values as restricted-growth strings over node positions
-/// combined with labelings, checking the sentence on each candidate.
+/// combined with labelings, checking the sentence on each candidate. The
+/// sentence is compiled once; its evaluator is bound to each shape, each
+/// labeling and each data partition as they change.
+///
+/// Step accounting (stored by the cache, the query log and replay): one step
+/// per candidate evaluated, and one step per labeling the structural filter
+/// rejects.
 class ModelEnumerator {
  public:
   ModelEnumerator(const Formula& sentence, size_t num_labels,
                   const SolverOptions& options)
-      : sentence_(sentence),
+      : evaluator_(sentence),
+        program_ok_(evaluator_.Validate(nullptr)),
         num_labels_(num_labels),
         options_(options),
         checkpoint_(options.exec, /*token=*/nullptr, kEnumModule) {}
@@ -170,6 +177,7 @@ class ModelEnumerator {
         for (size_t v = 1; v < n; ++v) {
           FO2DT_RETURN_NOT_OK(skeleton.AppendChild(parents[v], 0, 0).status());
         }
+        evaluator_.BindShape(skeleton);
         FO2DT_ASSIGN_OR_RETURN(bool found, SearchShape(&skeleton, n, &out));
         if (found) {
           out.verdict = SatVerdict::kSat;
@@ -199,7 +207,11 @@ class ModelEnumerator {
     std::vector<Symbol> labels(n, 0);
     for (;;) {
       for (NodeId v = 0; v < n; ++v) t->set_label(v, labels[v]);
-      labels_checked_ = false;
+      // The filter ignores data; check once per labeling. A rejected
+      // labeling costs one step.
+      const bool accepted = options_.structural_filter == nullptr ||
+                            options_.structural_filter->Accepts(*t);
+      if (accepted) evaluator_.BindLabels(*t);
       std::vector<size_t> rgs(n, 0);  // rgs[0] == 0 always
       for (;;) {
         if (++steps_ > options_.max_steps) {
@@ -207,19 +219,13 @@ class ModelEnumerator {
           return false;
         }
         FO2DT_RETURN_NOT_OK(checkpoint_.Tick());
+        if (!accepted) break;
         for (NodeId v = 0; v < n; ++v) {
           t->set_data(v, static_cast<DataValue>(rgs[v]));
         }
-        if (options_.structural_filter != nullptr && !labels_checked_) {
-          // The filter ignores data; check once per labeling.
-          labels_ok_ = options_.structural_filter->Accepts(*t);
-          labels_checked_ = true;
-        }
-        if (options_.structural_filter != nullptr && !labels_ok_) break;
-        FO2DT_ASSIGN_OR_RETURN(bool ok,
-                               Evaluator::EvaluateSentence(sentence_, *t,
-                                                           nullptr));
-        if (ok) {
+        if (!program_ok_.ok()) return program_ok_;
+        evaluator_.BindData(*t);
+        if (evaluator_.RunSentence()) {
           out->witness = *t;
           out->steps = steps_;
           return true;
@@ -236,14 +242,13 @@ class ModelEnumerator {
     }
   }
 
-  const Formula& sentence_;
+  Evaluator evaluator_;
+  const Status program_ok_;  // returned at the first candidate evaluated
   size_t num_labels_;
   const SolverOptions& options_;
   ExecCheckpoint checkpoint_;
   uint64_t steps_ = 0;
   bool budget_hit_ = false;
-  bool labels_checked_ = false;
-  bool labels_ok_ = false;
 };
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
 #include "common/random.h"
 #include "datatree/generator.h"
 #include "datatree/text_io.h"
@@ -241,6 +244,330 @@ TEST(EvalTest, RandomizedSemanticsSpotChecks) {
       EXPECT_EQ((*sat)[v] != 0, expect);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Differential test of the compiled evaluator against the definition: a
+// recursion over variable assignments that shares no code with it.
+
+bool AxisHolds(const DataTree& t, Axis axis, NodeId a, NodeId b) {
+  switch (axis) {
+    case Axis::kNextSibling:
+      return t.next_sibling(a) == b;
+    case Axis::kChild:
+      return t.parent(b) == a;
+    case Axis::kFollowingSibling:
+      for (NodeId w = t.next_sibling(a); w != kNoNode; w = t.next_sibling(w)) {
+        if (w == b) return true;
+      }
+      return false;
+    case Axis::kDescendant:
+      for (NodeId u = t.parent(b); u != kNoNode; u = t.parent(u)) {
+        if (u == a) return true;
+      }
+      return false;
+  }
+  return false;
+}
+
+bool Definitional(const Formula& f, const DataTree& t,
+                  const PredInterpretation* preds, NodeId x, NodeId y) {
+  using Kind = Formula::Kind;
+  auto at = [&](Var v) { return v == Var::kX ? x : y; };
+  switch (f.kind()) {
+    case Kind::kTrue:
+      return true;
+    case Kind::kFalse:
+      return false;
+    case Kind::kLabel:
+      return t.label(at(f.var())) == f.symbol();
+    case Kind::kPred:
+      return preds != nullptr && preds->membership[f.pred()][at(f.var())] != 0;
+    case Kind::kSameData:
+      return t.data(at(f.var())) == t.data(at(f.var2()));
+    case Kind::kEqual:
+      return at(f.var()) == at(f.var2());
+    case Kind::kEdge:
+      return AxisHolds(t, f.axis(), at(f.var()), at(f.var2()));
+    case Kind::kNot:
+      return !Definitional(f.child(0), t, preds, x, y);
+    case Kind::kAnd:
+      for (const Formula& c : f.children()) {
+        if (!Definitional(c, t, preds, x, y)) return false;
+      }
+      return true;
+    case Kind::kOr:
+      for (const Formula& c : f.children()) {
+        if (Definitional(c, t, preds, x, y)) return true;
+      }
+      return false;
+    case Kind::kExists:
+    case Kind::kForall: {
+      const bool exists = f.kind() == Kind::kExists;
+      for (NodeId v = 0; v < t.size(); ++v) {
+        const bool holds =
+            f.var() == Var::kX ? Definitional(f.child(0), t, preds, v, y)
+                               : Definitional(f.child(0), t, preds, x, v);
+        if (holds == exists) return exists;
+      }
+      return !exists;
+    }
+  }
+  return false;
+}
+
+Var RandomVar(RandomSource* rng) {
+  return rng->Bernoulli(0.5) ? Var::kX : Var::kY;
+}
+
+/// A random formula over labels 0..2 and predicates 0..1 with at most
+/// \p quantifiers nested quantifiers; records every Kind it emits.
+Formula RandomFormula(RandomSource* rng, int depth, int quantifiers,
+                      std::set<Formula::Kind>* seen) {
+  const int64_t pick = depth <= 0 ? rng->UniformInt(0, 6)
+                                  : rng->UniformInt(0, 11);
+  Formula f = Formula::True();
+  switch (pick) {
+    case 0:
+      f = rng->Bernoulli(0.5) ? Formula::True() : Formula::False();
+      break;
+    case 1:
+    case 2:
+      f = Formula::Label(static_cast<Symbol>(rng->UniformInt(0, 2)),
+                         RandomVar(rng));
+      break;
+    case 3:
+      f = Formula::Pred(static_cast<PredId>(rng->UniformInt(0, 1)),
+                        RandomVar(rng));
+      break;
+    case 4:
+      f = Formula::SameData(RandomVar(rng), RandomVar(rng));
+      break;
+    case 5:
+      f = Formula::Equal(RandomVar(rng), RandomVar(rng));
+      break;
+    case 6:
+      f = Formula::Edge(static_cast<Axis>(rng->UniformInt(0, 3)),
+                        RandomVar(rng), RandomVar(rng));
+      break;
+    case 7:
+      f = Formula::Not(RandomFormula(rng, depth - 1, quantifiers, seen));
+      break;
+    case 8:
+    case 9: {
+      std::vector<Formula> parts;
+      const int64_t k = rng->UniformInt(2, 3);
+      for (int64_t i = 0; i < k; ++i) {
+        parts.push_back(RandomFormula(rng, depth - 1, quantifiers, seen));
+      }
+      f = pick == 8 ? Formula::And(std::move(parts))
+                    : Formula::Or(std::move(parts));
+      break;
+    }
+    default: {
+      if (quantifiers == 0) {
+        return RandomFormula(rng, depth - 1, quantifiers, seen);
+      }
+      Formula body = RandomFormula(rng, depth - 1, quantifiers - 1, seen);
+      f = rng->Bernoulli(0.5) ? Formula::Exists(RandomVar(rng), body)
+                              : Formula::Forall(RandomVar(rng), body);
+      break;
+    }
+  }
+  seen->insert(f.kind());
+  return f;
+}
+
+bool MatrixBit(const uint64_t* m, size_t words, NodeId x, NodeId y) {
+  return ((m[x * words + y / 64] >> (y % 64)) & 1) != 0;
+}
+
+TEST(EvalTest, CompiledMatchesDefinitionalSemantics) {
+  RandomSource rng(20261017);
+  Alphabet labels;
+  std::set<Formula::Kind> seen;
+  std::set<std::tuple<Axis, Var, Var>> edges_seen;
+  size_t two_word_trees = 0;
+  for (int iter = 0; iter < 600; ++iter) {
+    RandomTreeOptions opt;
+    opt.num_nodes = static_cast<size_t>(
+        iter % 3 == 0 ? rng.UniformInt(65, 70) : rng.UniformInt(1, 12));
+    // Few labels and values make rows that are full in every word common,
+    // which is what ∀ and ¬ must get right across the word boundary.
+    opt.num_labels = static_cast<size_t>(rng.UniformInt(1, 3));
+    opt.num_data_values = static_cast<size_t>(rng.UniformInt(1, 4));
+    DataTree t = RandomDataTree(opt, &rng, &labels);
+    const size_t n = t.size();
+    two_word_trees += n > 64 ? 1 : 0;
+    PredInterpretation interp = PredInterpretation::Empty(2, n);
+    for (auto& row : interp.membership) {
+      for (char& c : row) c = rng.Bernoulli(0.4) ? 1 : 0;
+    }
+    const PredInterpretation* preds = iter % 2 == 0 ? &interp : nullptr;
+    Formula f = RandomFormula(&rng, 4, n > 12 ? 1 : 2, &seen);
+    std::vector<Formula> stack = {f};
+    while (!stack.empty()) {
+      Formula g = stack.back();
+      stack.pop_back();
+      if (g.kind() == Formula::Kind::kEdge) {
+        edges_seen.insert({g.axis(), g.var(), g.var2()});
+      }
+      for (const Formula& c : g.children()) stack.push_back(c);
+    }
+
+    Evaluator ev(f);
+    ASSERT_TRUE(ev.Validate(preds).ok());
+    ev.Bind(t, preds);
+    ASSERT_EQ(ev.words(), (n + 63) / 64);
+    // Every pair on small trees, a sample on large ones.
+    auto expect_matrix = [&](const char* when) {
+      const uint64_t* m = ev.Run();
+      const size_t pairs = n <= 12 ? n * n : 60;
+      for (size_t k = 0; k < pairs; ++k) {
+        const NodeId x = static_cast<NodeId>(
+            n <= 12 ? k / n : static_cast<size_t>(rng.UniformInt(0, n - 1)));
+        const NodeId y = static_cast<NodeId>(
+            n <= 12 ? k % n : static_cast<size_t>(rng.UniformInt(0, n - 1)));
+        ASSERT_EQ(MatrixBit(m, ev.words(), x, y),
+                  Definitional(f, t, preds, x, y))
+            << when << ": " << f.ToString(labels) << " at (" << x << ","
+            << y << ") on " << DataTreeToText(t, labels);
+      }
+    };
+    expect_matrix("bound");
+
+    // The static entry points agree with the definition too.
+    Formula sentence = Formula::Exists(
+        Var::kX,
+        Formula::Forall(Var::kY,
+                        Formula::Or(f, Formula::Equal(Var::kX, Var::kY))));
+    if (n <= 12) {
+      bool expect = false;
+      for (NodeId x = 0; x < n && !expect; ++x) {
+        bool all = true;
+        for (NodeId y = 0; y < n && all; ++y) {
+          all = x == y || Definitional(f, t, preds, x, y);
+        }
+        expect = all;
+      }
+      Result<bool> got = Evaluator::EvaluateSentence(sentence, t, preds);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, expect) << sentence.ToString(labels);
+    }
+    for (Var free : {Var::kX, Var::kY}) {
+      Formula unary = Formula::Exists(OtherVar(free), f);
+      Result<std::vector<char>> got =
+          Evaluator::EvaluateUnary(unary, t, free, preds);
+      ASSERT_TRUE(got.ok());
+      for (NodeId v = 0; v < std::min<size_t>(n, 12); ++v) {
+        const bool expect = free == Var::kX
+                                ? Definitional(unary, t, preds, v, 0)
+                                : Definitional(unary, t, preds, 0, v);
+        EXPECT_EQ((*got)[v] != 0, expect) << unary.ToString(labels);
+      }
+    }
+
+    // Rebinding only labels and data (the enumerator's path) tracks the
+    // mutated tree.
+    for (NodeId v = 0; v < n; ++v) {
+      t.set_label(v, static_cast<Symbol>(rng.UniformInt(0, 2)));
+      t.set_data(v, static_cast<DataValue>(rng.UniformInt(0, 2)));
+    }
+    ev.BindLabels(t);
+    ev.BindData(t);
+    expect_matrix("rebound");
+  }
+  // Coverage: every Kind, every axis in both variable orders and with one
+  // variable twice, and rows of one and of two words.
+  EXPECT_EQ(seen.size(), 12u);
+  EXPECT_EQ(edges_seen.size(), 16u);
+  EXPECT_GT(two_word_trees, 0u);
+}
+
+TEST(EvalTest, RowsSpanningTwoWords) {
+  // 70 nodes: the root and 63 children labeled a with value 1, then six b
+  // children with value 2, so every row is full in its first word only.
+  Alphabet labels;
+  std::string text = "a:1 (";
+  for (int i = 1; i < 70; ++i) text += i < 64 ? "a:1 " : "b:2 ";
+  text += ")";
+  DataTree t = *ParseDataTree(text, &labels);
+  ASSERT_EQ(t.size(), 70u);
+  Alphabet preds;
+  const char* formulas[] = {
+      "forall y. a(y)",
+      "forall x. a(x)",
+      "exists y. b(y)",
+      "!(exists y. b(y))",
+      "forall y. (a(y) | y = x)",
+      "forall y. x ~ y",
+      "exists y. !(x ~ y)",
+      "forall x. forall y. (a(x) | b(y))",
+      "!a(x) & !a(y)",
+  };
+  for (const char* ftext : formulas) {
+    Formula f = *ParseFormula(ftext, &labels, &preds);
+    Evaluator ev(f);
+    ev.Bind(t, nullptr);
+    const uint64_t* m = ev.Run();
+    ASSERT_EQ(ev.words(), 2u);
+    for (NodeId x = 0; x < t.size(); ++x) {
+      for (NodeId y = 0; y < t.size(); ++y) {
+        ASSERT_EQ(MatrixBit(m, ev.words(), x, y),
+                  Definitional(f, t, nullptr, x, y))
+            << ftext << " at (" << x << "," << y << ")";
+      }
+    }
+  }
+}
+
+TEST(EvalTest, ErrorPaths) {
+  Ctx c = MakeCtx("a:1 (b:2)");
+  // Open formula.
+  Formula open = Formula::Label(0, Var::kX);
+  Result<bool> r = Evaluator::EvaluateSentence(open, c.tree, nullptr);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // Empty tree, for both entry points.
+  DataTree empty;
+  Formula closed = Formula::Exists(Var::kX, open);
+  EXPECT_EQ(Evaluator::EvaluateSentence(closed, empty).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Evaluator::EvaluateUnary(open, empty, Var::kX).status().code(),
+            StatusCode::kInvalidArgument);
+  // A label atom with no symbol.
+  Formula no_symbol =
+      Formula::Exists(Var::kX, Formula::Label(kNoSymbol, Var::kX));
+  r = Evaluator::EvaluateSentence(no_symbol, c.tree, nullptr);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().ToString().find("no symbol"), std::string::npos);
+  // A predicate beyond the interpretation; a null one reads it as empty.
+  Formula pred = Formula::Exists(Var::kX, Formula::Pred(3, Var::kX));
+  PredInterpretation interp = PredInterpretation::Empty(2, c.tree.size());
+  r = Evaluator::EvaluateSentence(pred, c.tree, &interp);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().ToString().find("$3"), std::string::npos);
+  r = Evaluator::EvaluateSentence(pred, c.tree, nullptr);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(*r);
+  // The first offending atom in evaluation order is the one reported.
+  Formula both = Formula::Exists(
+      Var::kX, Formula::And(Formula::Pred(3, Var::kX),
+                            Formula::Label(kNoSymbol, Var::kX)));
+  r = Evaluator::EvaluateSentence(both, c.tree, &interp);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().ToString().find("$3"), std::string::npos);
+  // EMSO brute force: the bit cap, then the same checks.
+  Emso2Formula emso;
+  emso.num_preds = 1;
+  emso.core = pred;
+  EXPECT_EQ(Evaluator::EvaluateEmsoBruteForce(emso, c.tree, 1).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(Evaluator::EvaluateEmsoBruteForce(emso, c.tree).status().code(),
+            StatusCode::kInvalidArgument);
+  emso.core = Formula::Exists(Var::kX, Formula::Pred(0, Var::kX));
+  EXPECT_TRUE(*Evaluator::EvaluateEmsoBruteForce(emso, c.tree));
 }
 
 }  // namespace

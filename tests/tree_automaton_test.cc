@@ -413,5 +413,65 @@ TEST(TreeAutomatonTest, AcceptingRunStatesRootRestricted) {
   EXPECT_EQ((*sets)[t.root()].front(), 1u);
 }
 
+// Accepts() and AcceptingRunStates() share one propagation; check both
+// against the definition — some run passes IsAcceptingRun — by trying every
+// run on small random trees of random automata with non-first states.
+TEST(TreeAutomatonTest, AcceptsMatchesExhaustiveRunSearch) {
+  RandomSource rng(1304);
+  Alphabet alpha;
+  size_t accepted = 0;
+  size_t rejected = 0;
+  for (int iter = 0; iter < 25; ++iter) {
+    const size_t ns = static_cast<size_t>(rng.UniformInt(1, 4));
+    const size_t na = static_cast<size_t>(rng.UniformInt(1, 3));
+    TreeAutomaton aut(na, ns);
+    const int64_t edges =
+        rng.UniformInt(0, static_cast<int64_t>(2 * ns * ns * na));
+    for (int64_t e = 0; e < edges; ++e) {
+      const auto from = static_cast<TreeState>(
+          rng.UniformInt(0, static_cast<int64_t>(ns) - 1));
+      const auto sym = static_cast<Symbol>(
+          rng.UniformInt(0, static_cast<int64_t>(na) - 1));
+      const auto to = static_cast<TreeState>(
+          rng.UniformInt(0, static_cast<int64_t>(ns) - 1));
+      if (rng.Bernoulli(0.5)) {
+        aut.AddHorizontal(from, sym, to);
+      } else {
+        aut.AddVertical(from, sym, to);
+      }
+    }
+    for (TreeState q = 0; q < ns; ++q) {
+      if (rng.Bernoulli(0.5)) aut.SetInitial(q);
+      if (rng.Bernoulli(0.3)) aut.SetNonFirst(q);
+      for (Symbol a = 0; a < na; ++a) {
+        if (rng.Bernoulli(0.4)) aut.SetAccepting(q, a);
+      }
+    }
+    RandomTreeOptions opt;
+    opt.num_labels = na;
+    opt.max_children = 3;
+    for (int i = 0; i < 20; ++i) {
+      opt.num_nodes = static_cast<size_t>(rng.UniformInt(1, 5));
+      DataTree t = RandomDataTree(opt, &rng, &alpha);
+      bool some_run = false;
+      TreeRun run(t.size(), 0);
+      for (;;) {  // odometer over every run
+        if (aut.IsAcceptingRun(t, run)) {
+          some_run = true;
+          break;
+        }
+        size_t v = 0;
+        while (v < run.size() && ++run[v] == ns) run[v++] = 0;
+        if (v == run.size()) break;
+      }
+      EXPECT_EQ(aut.Accepts(t), some_run) << DataTreeToText(t, alpha);
+      EXPECT_EQ(aut.AcceptingRunStates(t).ok(), some_run);
+      (some_run ? accepted : rejected) += 1;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 }  // namespace
 }  // namespace fo2dt
