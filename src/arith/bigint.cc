@@ -38,15 +38,15 @@ inline void CountBig() { ++ArithStats::Local().big_ops; }
 
 BigInt::MagView BigInt::View() const {
   MagView v;
-  if (small_rep_) {
+  if (!heap_) {
     v.negative = small_ < 0;
     uint64_t u = Abs64(small_);
     if (u) v.storage.push_back(static_cast<uint32_t>(u & 0xffffffffULL));
     if (u >> 32) v.storage.push_back(static_cast<uint32_t>(u >> 32));
     v.inline_rep = true;
   } else {
-    v.negative = negative_;
-    v.heap = &mag_;
+    v.negative = heap_->negative;
+    v.heap = &heap_->mag;
     v.inline_rep = false;
   }
   return v;
@@ -59,10 +59,10 @@ BigInt BigInt::FromMagU64(bool negative, uint64_t mag) {
                            : static_cast<int64_t>(mag));
   }
   BigInt out;
-  out.small_rep_ = false;
-  out.negative_ = negative;
-  out.mag_.push_back(static_cast<uint32_t>(mag & 0xffffffffULL));
-  if (mag >> 32) out.mag_.push_back(static_cast<uint32_t>(mag >> 32));
+  out.heap_ = std::make_unique<Heap>();
+  out.heap_->negative = negative;
+  out.heap_->mag.push_back(static_cast<uint32_t>(mag & 0xffffffffULL));
+  if (mag >> 32) out.heap_->mag.push_back(static_cast<uint32_t>(mag >> 32));
   return out;
 }
 
@@ -74,9 +74,7 @@ BigInt BigInt::FromMag(bool negative, std::vector<uint32_t> mag) {
     return FromMagU64(negative, u);
   }
   BigInt out;
-  out.small_rep_ = false;
-  out.negative_ = negative;
-  out.mag_ = std::move(mag);
+  out.heap_ = std::make_unique<Heap>(Heap{negative, std::move(mag)});
   return out;
 }
 
@@ -284,8 +282,8 @@ Result<BigInt> BigInt::FromString(const std::string& text) {
 }
 
 std::string BigInt::ToString() const {
-  if (small_rep_) return std::to_string(small_);
-  std::vector<uint32_t> cur = mag_;
+  if (!heap_) return std::to_string(small_);
+  std::vector<uint32_t> cur = heap_->mag;
   std::string digits;
   std::vector<uint32_t> q, r;
   const std::vector<uint32_t> billion = {1000000000U};
@@ -299,33 +297,33 @@ std::string BigInt::ToString() const {
     cur = q;
   }
   while (digits.size() > 1 && digits.back() == '0') digits.pop_back();
-  if (negative_) digits.push_back('-');
+  if (heap_->negative) digits.push_back('-');
   std::reverse(digits.begin(), digits.end());
   return digits;
 }
 
 Result<int64_t> BigInt::ToInt64() const {
   // The representation is canonical: heap-backed values are out of range.
-  if (small_rep_) return small_;
+  if (!heap_) return small_;
   return Status::Overflow("BigInt exceeds int64 range");
 }
 
 double BigInt::ToDouble() const {
-  if (small_rep_) return static_cast<double>(small_);
+  if (!heap_) return static_cast<double>(small_);
   double out = 0;
-  for (size_t i = mag_.size(); i-- > 0;) {
-    out = out * 4294967296.0 + mag_[i];
+  for (size_t i = heap_->mag.size(); i-- > 0;) {
+    out = out * 4294967296.0 + heap_->mag[i];
   }
-  return negative_ ? -out : out;
+  return heap_->negative ? -out : out;
 }
 
 size_t BigInt::BitLength() const {
-  if (small_rep_) {
+  if (!heap_) {
     uint64_t u = Abs64(small_);
     return u == 0 ? 0 : 64 - static_cast<size_t>(__builtin_clzll(u));
   }
-  uint32_t top = mag_.back();
-  size_t bits = (mag_.size() - 1) * 32;
+  uint32_t top = heap_->mag.back();
+  size_t bits = (heap_->mag.size() - 1) * 32;
   while (top) {
     ++bits;
     top >>= 1;
@@ -334,19 +332,19 @@ size_t BigInt::BitLength() const {
 }
 
 BigInt BigInt::operator-() const {
-  if (small_rep_) {
+  if (!heap_) {
     if (small_ != INT64_MIN) return BigInt(-small_);
     return FromMagU64(false, 0x8000000000000000ULL);
   }
-  return FromMag(!negative_, mag_);
+  return FromMag(!heap_->negative, heap_->mag);
 }
 
 BigInt BigInt::Abs() const {
-  if (small_rep_) {
+  if (!heap_) {
     if (small_ != INT64_MIN) return BigInt(small_ < 0 ? -small_ : small_);
     return FromMagU64(false, 0x8000000000000000ULL);
   }
-  return FromMag(false, mag_);
+  return FromMag(false, heap_->mag);
 }
 
 BigInt BigInt::operator+(const BigInt& o) const {
@@ -355,7 +353,7 @@ BigInt BigInt::operator+(const BigInt& o) const {
   // produce the identical canonical value.
   bool force_slow = false;
   FO2DT_FAILPOINT(names::kFpBigintForceSlowAdd, &force_slow);
-  if (!force_slow && small_rep_ && o.small_rep_) {
+  if (!force_slow && !heap_ && !o.heap_) {
     int64_t r;
     if (!__builtin_add_overflow(small_, o.small_, &r)) {
       CountSmall();
@@ -375,7 +373,7 @@ BigInt BigInt::operator+(const BigInt& o) const {
 }
 
 BigInt BigInt::operator-(const BigInt& o) const {
-  if (small_rep_ && o.small_rep_) {
+  if (!heap_ && !o.heap_) {
     int64_t r;
     if (!__builtin_sub_overflow(small_, o.small_, &r)) {
       CountSmall();
@@ -386,7 +384,7 @@ BigInt BigInt::operator-(const BigInt& o) const {
 }
 
 BigInt BigInt::operator*(const BigInt& o) const {
-  if (small_rep_ && o.small_rep_) {
+  if (!heap_ && !o.heap_) {
     int64_t r;
     if (!__builtin_mul_overflow(small_, o.small_, &r)) {
       CountSmall();
@@ -400,7 +398,7 @@ BigInt BigInt::operator*(const BigInt& o) const {
 }
 
 BigInt BigInt::operator/(const BigInt& o) const {
-  if (small_rep_ && o.small_rep_) {
+  if (!heap_ && !o.heap_) {
     // INT64_MIN / -1 is the lone overflowing quotient.
     if (!(small_ == INT64_MIN && o.small_ == -1)) {
       CountSmall();
@@ -416,7 +414,7 @@ BigInt BigInt::operator/(const BigInt& o) const {
 }
 
 BigInt BigInt::operator%(const BigInt& o) const {
-  if (small_rep_ && o.small_rep_) {
+  if (!heap_ && !o.heap_) {
     CountSmall();
     // INT64_MIN % -1 overflows in hardware; the result is 0.
     if (o.small_ == -1) return BigInt(0);
@@ -455,7 +453,7 @@ BigInt BigInt::CeilDiv(const BigInt& o) const {
 }
 
 BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
-  if (a.small_rep_ && b.small_rep_) {
+  if (!a.heap_ && !b.heap_) {
     CountSmall();
     uint64_t x = Abs64(a.small_);
     uint64_t y = Abs64(b.small_);
@@ -478,13 +476,13 @@ BigInt BigInt::Gcd(const BigInt& a, const BigInt& b) {
 }
 
 size_t BigInt::Hash() const {
-  if (small_rep_) {
+  if (!heap_) {
     uint64_t z = static_cast<uint64_t>(small_) + 0x9e3779b97f4a7c15ULL;
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
     return static_cast<size_t>(z ^ (z >> 27));
   }
-  size_t h = negative_ ? 0x9e3779b97f4a7c15ULL : 0;
-  for (uint32_t limb : mag_) {
+  size_t h = heap_->negative ? 0x9e3779b97f4a7c15ULL : 0;
+  for (uint32_t limb : heap_->mag) {
     h ^= limb + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   }
   return h;

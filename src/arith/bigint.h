@@ -5,17 +5,18 @@
 /// constraints with an exact-rational simplex; pivoting blows past 64 bits
 /// quickly, so all solver arithmetic is done over BigInt/Rational.
 ///
-/// Representation: values that fit a machine int64 are stored inline with no
-/// heap allocation (the overwhelmingly common case in solver pivots); only on
-/// overflow does a value spill into a sign + little-endian base-2^32 limb
-/// vector. The representation is canonical — a value is heap-backed iff it
-/// does not fit int64 — so equality and hashing never compare across
-/// representations. Results are demoted back to the inline form whenever they
-/// shrink into range.
+/// Representation: 16 bytes. Values that fit a machine int64 are stored
+/// inline with no heap allocation (the overwhelmingly common case in solver
+/// pivots); only on overflow does a value spill into one owned heap block
+/// holding a sign + little-endian base-2^32 limb vector. The representation
+/// is canonical — a value is heap-backed iff it does not fit int64 — so
+/// equality and hashing never compare across representations. Results are
+/// demoted back to the inline form whenever they shrink into range.
 
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,6 +32,26 @@ class BigInt {
   /// From a machine integer (implicit: BigInt is a drop-in numeric type).
   BigInt(int64_t v) : small_(v) {}  // NOLINT: implicit by design
 
+  BigInt(const BigInt& o)
+      : small_(o.small_),
+        heap_(o.heap_ ? std::make_unique<Heap>(*o.heap_) : nullptr) {}
+  BigInt& operator=(const BigInt& o) {
+    if (this != &o) {
+      small_ = o.small_;
+      if (!o.heap_) {
+        heap_.reset();
+      } else if (heap_) {
+        *heap_ = *o.heap_;
+      } else {
+        heap_ = std::make_unique<Heap>(*o.heap_);
+      }
+    }
+    return *this;
+  }
+  // A moved-from heap value is left as inline zero (small_ is 0 there).
+  BigInt(BigInt&&) noexcept = default;
+  BigInt& operator=(BigInt&&) noexcept = default;
+
   /// Parses an optionally signed decimal string.
   static Result<BigInt> FromString(const std::string& text);
 
@@ -42,12 +63,14 @@ class BigInt {
   /// Value as double (may lose precision; infinity on huge values).
   double ToDouble() const;
 
-  bool IsZero() const { return small_rep_ && small_ == 0; }
-  bool IsOne() const { return small_rep_ && small_ == 1; }
-  bool IsNegative() const { return small_rep_ ? small_ < 0 : negative_; }
-  bool IsPositive() const { return small_rep_ ? small_ > 0 : !negative_; }
+  bool IsZero() const { return !heap_ && small_ == 0; }
+  bool IsOne() const { return !heap_ && small_ == 1; }
+  bool IsNegative() const { return heap_ ? heap_->negative : small_ < 0; }
+  bool IsPositive() const { return heap_ ? !heap_->negative : small_ > 0; }
   /// True when the value fits the inline int64 representation.
-  bool FitsInt64() const { return small_rep_; }
+  bool FitsInt64() const { return !heap_; }
+  /// The inline value. Precondition: FitsInt64().
+  int64_t Small() const { return small_; }
 
   /// Number of significant bits of the magnitude (0 for zero).
   size_t BitLength() const;
@@ -73,7 +96,7 @@ class BigInt {
 
   /// Three-way comparison: negative, zero, positive.
   int Compare(const BigInt& o) const {
-    if (small_rep_ && o.small_rep_) {
+    if (!heap_ && !o.heap_) {
       return small_ < o.small_ ? -1 : (small_ > o.small_ ? 1 : 0);
     }
     return CompareSlow(o);
@@ -137,12 +160,15 @@ class BigInt {
                         std::vector<uint32_t>* q, std::vector<uint32_t>* r);
   static void TrimMag(std::vector<uint32_t>* m);
 
-  // Inline representation: value == small_ when small_rep_.
-  int64_t small_ = 0;
-  bool small_rep_ = true;
   // Heap representation (canonical: only for |value| beyond int64).
-  bool negative_ = false;
-  std::vector<uint32_t> mag_;  // little-endian base 2^32
+  struct Heap {
+    bool negative = false;
+    std::vector<uint32_t> mag;  // little-endian base 2^32
+  };
+
+  // The value when heap_ is null; 0 otherwise.
+  int64_t small_ = 0;
+  std::unique_ptr<Heap> heap_;
 };
 
 /// Stream rendering in decimal (for tests and diagnostics).

@@ -2,6 +2,11 @@
 /// \brief Exact rational numbers over BigInt.
 ///
 /// Invariant: denominator > 0 and gcd(|num|, den) == 1; zero is 0/1.
+///
+/// 32 bytes (two 16-byte BigInts). When every operand's numerator and
+/// denominator fit int64, + - * /, Compare and SubMul compute in __int128
+/// and reduce with one gcd; they fall back to BigInt arithmetic only when a
+/// reduced part leaves int64, so the canonical form is the same either way.
 
 #pragma once
 
@@ -44,6 +49,8 @@ class Rational {
   Rational& operator-=(const Rational& o) { return *this = *this - o; }
   Rational& operator*=(const Rational& o) { return *this = *this * o; }
   Rational& operator/=(const Rational& o) { return *this = *this / o; }
+  /// Fused in-place `*this -= f * b` (the simplex row update).
+  Rational& SubMul(const Rational& f, const Rational& b);
 
   int Compare(const Rational& o) const;
   bool operator==(const Rational& o) const { return Compare(o) == 0; }
@@ -64,6 +71,11 @@ class Rational {
 
  private:
   void Normalize();
+  /// True when numerator and denominator both fit int64.
+  bool SmallParts() const { return num_.FitsInt64() && den_.FitsInt64(); }
+  /// Sets *this to n/d (d > 0) reduced by one gcd. Returns false, leaving
+  /// *this untouched, when a reduced part does not fit int64.
+  bool TryAssign(__int128 n, __int128 d);
 
   BigInt num_;
   BigInt den_;

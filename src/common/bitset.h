@@ -35,6 +35,17 @@ class Bitset {
     }
   }
 
+  /// Removes \p i if present. Idempotent; never shrinks the word array.
+  void Erase(uint32_t i) {
+    const size_t w = i / 64;
+    if (w >= words_.size()) return;
+    const uint64_t mask = uint64_t{1} << (i % 64);
+    if ((words_[w] & mask) != 0) {
+      words_[w] &= ~mask;
+      --count_;
+    }
+  }
+
   bool Contains(uint32_t i) const {
     const size_t w = i / 64;
     return w < words_.size() && (words_[w] >> (i % 64)) & 1;

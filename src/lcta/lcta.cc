@@ -586,14 +586,15 @@ Result<LctaEmptinessResult> CheckLctaEmptinessImpl(const Lcta& lcta,
   // All workers are joined: safe to aggregate stats and scan slots.
   FO2DT_RETURN_NOT_OK(OverallStop(options));
 
-  // Exact counter aggregation: summed single-threaded after the join.
-  for (const Slot& slot : slots) {
-    out.ilp_nodes += slot.outcome.ilp_nodes;
-    out.connectivity_cuts += slot.outcome.connectivity_cuts;
-  }
+  // Effort counters sum only the slots up to the terminal index, inside the
+  // ascending scan: those always complete, so the totals equal what a
+  // sequential run computes. Slots past it ran or not depending on
+  // scheduling and must not count.
   for (size_t i = 0; i < slots.size(); ++i) {
     Slot& slot = slots[i];
     if (!slot.error.ok()) return slot.error;
+    out.ilp_nodes += slot.outcome.ilp_nodes;
+    out.connectivity_cuts += slot.outcome.connectivity_cuts;
     switch (slot.outcome.kind) {
       case RootOutcome::kNonEmpty:
         out.empty = false;

@@ -413,11 +413,13 @@ Result<DnfSolveResult> IlpSolver::SolveDnf(
   // All workers are joined: safe to aggregate stats and scan slots.
   FO2DT_RETURN_NOT_OK(OverallStop(options));
 
-  // Exact node aggregation: summed single-threaded after the join.
-  for (const Slot& slot : slots) out.solution.nodes_explored += slot.nodes;
-
+  // Node counts sum only the slots up to the terminal index, inside the
+  // ascending scan: those always complete, so the total equals what a
+  // sequential run computes. Slots past it ran or not depending on
+  // scheduling and must not count.
   for (size_t i = 0; i < slots.size(); ++i) {
     Slot& slot = slots[i];
+    out.solution.nodes_explored += slot.nodes;
     switch (slot.kind) {
       case Slot::kError:
         return slot.error;

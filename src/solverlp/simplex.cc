@@ -55,58 +55,63 @@ struct PivotTally {
 }  // namespace
 
 const Rational& IncrementalSimplex::At(const SparseRow& row, size_t col) {
-  return std::lower_bound(row.begin(), row.end(), col,
-                          [](const Cell& cell, size_t c) {
-                            return cell.col < c;
-                          })->value;
+  return std::find_if(row.begin(), row.end(), [col](const Cell& cell) {
+           return cell.col == col;
+         })->value;
 }
 
-void IncrementalSimplex::SubtractScaled(size_t i, const Rational& f,
-                                        const SparseRow& src,
-                                        size_t cancel_col) {
+void IncrementalSimplex::Scatter(size_t src) {
+  const SparseRow& row = rows_[src];
+  for (size_t k = 0; k < row.size(); ++k) {
+    pos_[row[k].col] = static_cast<uint32_t>(k);
+  }
+}
+
+void IncrementalSimplex::Unscatter(size_t src) {
+  for (const Cell& cell : rows_[src]) pos_[cell.col] = kNoPos;
+}
+
+Rational IncrementalSimplex::SubtractScaled(size_t i, size_t src,
+                                            size_t cancel_col) {
   SparseRow& row = rows_[i];
-  // Drops row i from column c's index list once c cancels in row i.
-  auto unindex = [&](size_t c) {
-    std::vector<size_t>& rows = col_rows_[c];
-    *std::find(rows.begin(), rows.end(), i) = rows.back();
-    rows.pop_back();
-  };
-  size_t fill = 0;
-  auto at = row.begin();
-  for (const Cell& cell : src) {
-    at = std::lower_bound(
-        at, row.end(), cell.col,
-        [](const Cell& x, size_t c) { return x.col < c; });
-    if (at == row.end() || at->col != cell.col) ++fill;
+  const SparseRow& prow = rows_[src];
+  // One pass over row i finds the cells src also holds, cancel_col's among
+  // them (it supplies f).
+  hits_.clear();
+  matched_.assign(prow.size(), 0);
+  size_t fpos = 0;
+  for (size_t j = 0; j < row.size(); ++j) {
+    const uint32_t k = pos_[row[j].col];
+    if (k == kNoPos) continue;
+    if (row[j].col == cancel_col) fpos = j;
+    hits_.push_back({static_cast<uint32_t>(j), k});
+    matched_[k] = 1;
   }
-  // Merge in place from the back, with no scratch row: row's unread cells
-  // are [0, r), the finished ones [w, end), and the gap w - r is the fill-in
-  // still to place (once it closes, cells stay put and matching ones update
-  // where they are). Cells that cancel become zeros, compacted out last.
-  size_t r = row.size();
-  row.resize(r + fill);
-  size_t w = row.size();
-  for (auto b = src.rbegin(); b != src.rend(); ++b) {
-    for (; r > 0 && row[r - 1].col > b->col; --r) {
-      if (--w != r - 1) row[w] = std::move(row[r - 1]);
+  const Rational f = row[fpos].value;
+  // Update the hits from the back: a cell that cancels is swapped with the
+  // last cell, which is never a hit still to visit.
+  for (auto hit = hits_.rbegin(); hit != hits_.rend(); ++hit) {
+    const size_t j = hit->first;
+    const size_t col = row[j].col;
+    if (col != cancel_col) {
+      Rational& a = row[j].value;
+      a.SubMul(f, prow[hit->second].value);
+      if (!a.IsZero()) continue;
+      // Cancelled: drop row i from the column's index list.
+      std::vector<size_t>& rows = col_rows_[col];
+      *std::find(rows.begin(), rows.end(), i) = rows.back();
+      rows.pop_back();
     }
-    if (r == 0 || row[r - 1].col != b->col) {
-      col_rows_[b->col].push_back(i);
-      row[--w] = {b->col, -(f * b->value)};
-      continue;
-    }
-    Rational& a = row[--r].value;
-    if (b->col == cancel_col) {
-      a = Rational(0);
-    } else {
-      a -= f * b->value;
-      if (a.IsZero()) unindex(b->col);
-    }
-    if (--w != r) row[w] = std::move(row[r]);
+    if (j + 1 != row.size()) row[j] = std::move(row.back());
+    row.pop_back();
   }
-  row.erase(std::remove_if(row.begin(), row.end(),
-                           [](const Cell& x) { return x.value.IsZero(); }),
-            row.end());
+  for (size_t k = 0; k < prow.size(); ++k) {
+    if (matched_[k]) continue;
+    col_rows_[prow[k].col].push_back(i);
+    row.push_back({prow[k].col, Rational()});
+    row.back().value.SubMul(f, prow[k].value);
+  }
+  return f;
 }
 
 void IncrementalSimplex::RebuildColumnIndex() {
@@ -116,8 +121,14 @@ void IncrementalSimplex::RebuildColumnIndex() {
   }
 }
 
+void IncrementalSimplex::RebuildNegCost() {
+  neg_cost_.Clear();
+  for (size_t j = 0; j < cost_.size(); ++j) UpdateNegCost(j);
+}
+
 size_t IncrementalSimplex::AddColumn() {
   cost_.emplace_back(0);
+  pos_.push_back(kNoPos);
   col_to_row_.push_back(kNoRow);
   col_rows_.emplace_back();
   return num_cols_++;
@@ -142,17 +153,21 @@ void IncrementalSimplex::Pivot(size_t row, size_t col) {
   // so the index order is irrelevant). The pivot cell is now 1, so the
   // target's col cell cancels to exact zero; it is dropped unevaluated and
   // col's index list is reset wholesale afterwards.
+  Scatter(row);
   std::vector<size_t>& col_rows = col_rows_[col];
   for (size_t i : col_rows) {
     if (i == row) continue;
-    const Rational f = At(rows_[i], col);
-    SubtractScaled(i, f, prow, col);
-    rhs_[i] -= f * rhs_[row];
+    const Rational f = SubtractScaled(i, row, col);
+    rhs_[i].SubMul(f, rhs_[row]);
   }
+  Unscatter(row);
   col_rows.assign(1, row);
   if (!cost_.empty() && !cost_[col].IsZero()) {
     const Rational f = cost_[col];
-    for (const Cell& cell : prow) cost_[cell.col] -= f * cell.value;
+    for (const Cell& cell : prow) {
+      cost_[cell.col].SubMul(f, cell.value);
+      UpdateNegCost(cell.col);
+    }
   }
   col_to_row_[basis_[row]] = kNoRow;
   col_to_row_[col] = row;
@@ -166,14 +181,8 @@ Result<bool> IncrementalSimplex::RunPrimal() {
   for (;;) {
     FO2DT_RETURN_NOT_OK(checkpoint.Tick());
     // Bland: first column with negative maintained reduced cost.
-    size_t entering = num_cols_;
-    for (size_t j = 0; j < num_cols_; ++j) {
-      if (cost_[j].IsNegative()) {
-        entering = j;
-        break;
-      }
-    }
-    if (entering == num_cols_) return true;
+    if (neg_cost_.empty()) return true;
+    const size_t entering = *neg_cost_.begin();
 
     // Ratio test with Bland tie-break (smallest basis column index). Basis
     // indices are distinct, so the choice does not depend on row order.
@@ -218,18 +227,18 @@ IncrementalSimplex::DualStatus IncrementalSimplex::RunDualRepair(
     // Entering column: smallest index with a negative coefficient. With the
     // feasibility objective all reduced costs are zero, so every such column
     // ties the dual ratio test and Bland's smallest-index choice applies.
-    const SparseRow& row = rows_[r];
-    auto neg = std::find_if(row.begin(), row.end(), [](const Cell& cell) {
-      return cell.value.IsNegative();
-    });
-    if (neg == row.end()) {
+    size_t entering = num_cols_;
+    for (const Cell& cell : rows_[r]) {
+      if (cell.value.IsNegative() && cell.col < entering) entering = cell.col;
+    }
+    if (entering == num_cols_) {
       // basic = rhs - sum(a_j x_j) with all a_j >= 0 and rhs < 0: no x >= 0
       // can make the basic variable non-negative.
       return DualStatus::kInfeasible;
     }
     if (++used > max_pivots) return DualStatus::kCapExceeded;
     ++tally.count;
-    Pivot(r, neg->col);
+    Pivot(r, entering);
   }
 }
 
@@ -242,8 +251,9 @@ void IncrementalSimplex::InitObjective(const LinearExpr& objective) {
   for (size_t i = 0; i < rows_.size(); ++i) {
     const Rational& cb = orig[basis_[i]];
     if (cb.IsZero()) continue;
-    for (const Cell& cell : rows_[i]) cost_[cell.col] -= cb * cell.value;
+    for (const Cell& cell : rows_[i]) cost_[cell.col].SubMul(cb, cell.value);
   }
+  RebuildNegCost();
 }
 
 void IncrementalSimplex::RebuildColToRow() {
@@ -300,8 +310,7 @@ Result<IncrementalSimplex> IncrementalSimplex::CreateInternal(
   for (size_t i = 0; i < m; ++i) {
     const LinearAtom& atom = base[i];
     SparseRow& row = t.rows_[i];
-    // expr >= 0 means  sum a_j x_j >= -constant; rhs = -constant. Terms are
-    // sorted by variable and every surplus column lies past them.
+    // expr >= 0 means  sum a_j x_j >= -constant; rhs = -constant.
     row.reserve(atom.expr.terms().size() + 1);
     for (const auto& [v, c] : atom.expr.terms()) {
       row.push_back({v, Rational(c)});
@@ -321,6 +330,7 @@ Result<IncrementalSimplex> IncrementalSimplex::CreateInternal(
   }
 
   t.RebuildColumnIndex();
+  t.pos_.assign(t.num_cols_, kNoPos);
   // Phase 1: minimize the sum of artificials. Maintained reduced costs with
   // every artificial basic at cost 1: d_art = 0 and d_j = -sum_i T[i][j] for
   // the real columns.
@@ -328,6 +338,7 @@ Result<IncrementalSimplex> IncrementalSimplex::CreateInternal(
   for (const SparseRow& row : t.rows_) {
     for (const Cell& cell : row) t.cost_[cell.col] -= cell.value;
   }
+  t.RebuildNegCost();
   FO2DT_ASSIGN_OR_RETURN(bool phase1_bounded, t.RunPrimal());
   if (!phase1_bounded) {
     return Status::Internal("phase-1 simplex reported unbounded");
@@ -352,13 +363,17 @@ Result<IncrementalSimplex> IncrementalSimplex::CreateInternal(
       t.EraseRow(i);
       continue;
     }
-    t.Pivot(i, t.rows_[i].front().col);
+    // Bland: the smallest column of the row enters.
+    size_t entering = t.num_cols_;
+    for (const Cell& cell : t.rows_[i]) entering = std::min(entering, cell.col);
+    t.Pivot(i, entering);
     ++i;
   }
 
   // No artificial is basic now; forget their ids (RebuildColToRow shrinks
   // col_to_row_ back to the stored columns).
   t.cost_.assign(t.num_cols_, Rational(0));  // feasibility objective
+  t.neg_cost_.Clear();
   t.RebuildColToRow();
   t.feasible_ = true;
   return t;
@@ -370,8 +385,7 @@ void IncrementalSimplex::InsertBoundRow(VarId v, const BigInt& value,
 
   // Lower bound enters the system as  x_v - s = lo  (s >= 0), upper as
   // x_v + s = hi. If x_v is basic its row is subtracted to keep basic columns
-  // unit; a final negation (lower bounds only) makes s basic with +1. The
-  // bound column is the newest, so it sorts after every other cell.
+  // unit; a final negation (lower bounds only) makes s basic with +1.
   const size_t nrow = rows_.size();
   rows_.push_back({{v, Rational(1)},
                    {scol, is_upper ? Rational(1) : Rational(-1)}});
@@ -380,7 +394,9 @@ void IncrementalSimplex::InsertBoundRow(VarId v, const BigInt& value,
   const size_t vrow = col_to_row_[v];
   if (vrow != kNoRow) {
     // x_v's unit column cancels: the new row holds no x_v cell.
-    SubtractScaled(nrow, Rational(1), rows_[vrow], v);
+    Scatter(vrow);
+    SubtractScaled(nrow, vrow, v);
+    Unscatter(vrow);
     nrhs -= rhs_[vrow];
   } else {
     col_rows_[v].push_back(nrow);

@@ -22,9 +22,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "arith/rational.h"
+#include "common/bitset.h"
 #include "common/execution_context.h"
 #include "common/thread_stats.h"
 #include "solverlp/linear.h"
@@ -148,21 +150,40 @@ class IncrementalSimplex {
     size_t col;
     Rational value;
   };
-  /// A tableau row: its nonzero cells sorted by column, no explicit zeros.
+  /// A tableau row: its nonzero cells in no particular order, no explicit
+  /// zeros. Exact arithmetic makes every visit order give the same values;
+  /// the two Bland choices that pick a cell of a row (dual-repair entering
+  /// column, artificial drive-out) scan for the smallest column instead.
   using SparseRow = std::vector<Cell>;
+  static constexpr uint32_t kNoPos = static_cast<uint32_t>(-1);
 
   /// The cell of \p row at column \p col, which must be nonzero (as the
   /// column index guarantees for every row it lists).
   static const Rational& At(const SparseRow& row, size_t col);
-  /// Replaces row \p i with row_i - f * src (cells sorted, exact zeros
-  /// dropped) and records fill-in and cancellation in the column index.
-  /// \p cancel_col is held by both rows and cancels by construction: its
-  /// cell is dropped without arithmetic and its index list is left to the
-  /// caller.
-  void SubtractScaled(size_t i, const Rational& f, const SparseRow& src,
-                      size_t cancel_col);
+  /// Records in pos_ where each of row \p src's cells sits (Unscatter
+  /// clears it again), so a merge finds its partner cell in O(1).
+  void Scatter(size_t src);
+  void Unscatter(size_t src);
+  /// Replaces row \p i with row_i - f * src, where src is the scattered row
+  /// whose cell at \p cancel_col is 1 and f is row i's cell there, and
+  /// returns f. Matched cells update in place, fill-in is appended, and
+  /// cells that cancel (cancel_col always does) are swapped with the last
+  /// cell and dropped. Fill-in and cancellation are recorded in the column
+  /// index except for cancel_col, whose index list is left to the caller.
+  Rational SubtractScaled(size_t i, size_t src, size_t cancel_col);
   /// Recomputes col_rows_ from the rows.
   void RebuildColumnIndex();
+
+  /// Records whether cost_[col] is negative in neg_cost_.
+  void UpdateNegCost(size_t col) {
+    if (cost_[col].IsNegative()) {
+      neg_cost_.Insert(static_cast<uint32_t>(col));
+    } else {
+      neg_cost_.Erase(static_cast<uint32_t>(col));
+    }
+  }
+  /// Recomputes neg_cost_ from cost_.
+  void RebuildNegCost();
 
   /// Appends an all-zero column; returns its index.
   size_t AddColumn();
@@ -187,8 +208,8 @@ class IncrementalSimplex {
   void RebuildColToRow();
   size_t DualPivotCap() const;
 
-  // Sparse exact tableau: rows_[i] holds the nonzero cells of row i sorted
-  // by column, over logical width num_cols_. Rows are constraints
+  // Sparse exact tableau: rows_[i] holds the nonzero cells of row i in no
+  // particular order, over logical width num_cols_. Rows are constraints
   // sum_j T[i][j] x_j == rhs[i] with basis[i] basic in row i (unit column).
   // col_rows_[j] lists (unordered) the rows with a nonzero in column j, so a
   // pivot, the ratio test and a bound tightening visit only those rows. The
@@ -204,6 +225,16 @@ class IncrementalSimplex {
   std::vector<size_t> basis_;
   std::vector<size_t> col_to_row_;  // col -> basic row, or kNoRow
   std::vector<Rational> cost_;      // maintained reduced-cost row (dense)
+  // The columns whose cost_ entry is negative: Bland's entering column is
+  // its first member, so the primal loop never scans cost_.
+  Bitset neg_cost_;
+  // pos_[c] is the index of column c's cell in the row being merged from,
+  // or kNoPos; all kNoPos between pivots.
+  std::vector<uint32_t> pos_;
+  // Per-merge scratch: the (target index, scattered index) pairs of the
+  // cells both rows hold, and which of the scattered row's cells matched.
+  std::vector<std::pair<uint32_t, uint32_t>> hits_;
+  std::vector<char> matched_;
 
   VarId num_vars_ = 0;
   bool feasible_ = false;

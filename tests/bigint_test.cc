@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "arith/arith_stats.h"
 #include "common/random.h"
 
 namespace fo2dt {
 namespace {
+
+// An inline int64 or one owning pointer to the heap magnitude.
+static_assert(sizeof(BigInt) == 16);
 
 TEST(BigIntTest, ConstructionAndToString) {
   EXPECT_EQ(BigInt(0).ToString(), "0");
@@ -314,6 +319,57 @@ TEST(BigIntTest, GcdDivModEdges) {
   EXPECT_EQ(((-huge) / huge).Compare(BigInt(-1)), 0);
   EXPECT_EQ((-huge).FloorDiv(huge + BigInt(1)).Compare(BigInt(-1)), 0);
   EXPECT_TRUE((-huge).CeilDiv(huge + BigInt(1)).IsZero());
+}
+
+TEST(BigIntTest, CopyMoveAcrossInlineHeapBoundary) {
+  const BigInt heap_a = *BigInt::FromString("-123456789012345678901234567890");
+  const BigInt heap_b = *BigInt::FromString("98765432109876543210");
+  const BigInt small_a(-42);
+  const BigInt small_b(INT64_MAX);
+  const std::vector<BigInt> values = {heap_a, heap_b, small_a, small_b};
+  for (const BigInt& from : values) {
+    for (const BigInt& to : values) {
+      // Copy construction and copy assignment into either representation.
+      BigInt copy(from);
+      EXPECT_EQ(copy.Compare(from), 0);
+      BigInt assigned = to;
+      assigned = from;
+      EXPECT_EQ(assigned.Compare(from), 0);
+      EXPECT_EQ(assigned.FitsInt64(), from.FitsInt64());
+      // The copy is independent: changing it leaves the source alone.
+      assigned += BigInt(1);
+      EXPECT_EQ(assigned.Compare(from + BigInt(1)), 0);
+      EXPECT_EQ(copy.Compare(from), 0);
+
+      // Move construction and move assignment into either representation;
+      // the moved-from value stays usable (assignable and readable).
+      BigInt source = from;
+      BigInt moved(std::move(source));
+      EXPECT_EQ(moved.Compare(from), 0);
+      source = to;
+      EXPECT_EQ(source.Compare(to), 0);
+      BigInt target = to;
+      BigInt source2 = from;
+      target = std::move(source2);
+      EXPECT_EQ(target.Compare(from), 0);
+      EXPECT_EQ((source2 + BigInt(1)).Compare(source2 + BigInt(1)), 0);
+      source2 = BigInt(7);
+      EXPECT_EQ(source2.Compare(BigInt(7)), 0);
+    }
+    // Self-assignment, copy and move, leaves the value intact.
+    BigInt self = from;
+    const BigInt& alias = self;
+    self = alias;
+    EXPECT_EQ(self.Compare(from), 0);
+    BigInt& ref = self;
+    self = std::move(ref);
+    EXPECT_EQ(self.Compare(from), 0);
+  }
+  // A moved-from heap value reads as zero.
+  BigInt heap = heap_a;
+  BigInt taken(std::move(heap));
+  EXPECT_TRUE(heap.IsZero());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(taken.Compare(heap_a), 0);
 }
 
 TEST(ArithStatsTest, FastPathCountersMove) {

@@ -6,6 +6,7 @@
 #include "datatree/generator.h"
 #include "datatree/text_io.h"
 #include "logic/eval.h"
+#include "solverlp/simplex.h"
 #include "xmlenc/dtd.h"
 
 namespace fo2dt {
@@ -194,6 +195,84 @@ TEST(ConstraintsTest, IlpAgreesWithBoundedSearchOnSmallSchemas) {
   auto search = CheckConsistencyBounded(schema, set, opt);
   ASSERT_TRUE(search.ok());
   EXPECT_EQ(search->verdict, SatVerdict::kSat);
+}
+
+// One entity kind of the keyfk benchmark instances: the root holds
+// `sources` src elements, `refs` ref elements and optionally one more ref;
+// both carry a k attribute, ref.k is a key, src.k is included in ref.k, and
+// src.k is a key too when `keyed_sources`.
+struct KeyfkKind {
+  size_t sources;
+  size_t refs;
+  bool extra_ref;
+  bool keyed_sources;
+};
+
+struct KeyfkInstance {
+  TreeAutomaton schema;
+  ConstraintSet set;
+};
+
+KeyfkInstance BuildKeyfkInstance(const std::vector<KeyfkKind>& kinds) {
+  Alphabet labels;
+  Dtd dtd;
+  dtd.root = labels.Intern("root");
+  ConstraintSet set;
+  std::vector<std::string> content;
+  for (size_t i = 0; i < kinds.size(); ++i) {
+    const std::string n = std::to_string(i);
+    const Symbol src = labels.Intern("src" + n);
+    const Symbol ref = labels.Intern("ref" + n);
+    const Symbol key = labels.Intern("k" + n);
+    dtd.elements.push_back(DtdElement{src, Regex::Epsilon(), {key}});
+    dtd.elements.push_back(DtdElement{ref, Regex::Epsilon(), {key}});
+    for (size_t j = 0; j < kinds[i].sources; ++j) content.push_back("src" + n);
+    for (size_t j = 0; j < kinds[i].refs; ++j) content.push_back("ref" + n);
+    if (kinds[i].extra_ref) content.push_back("ref" + n + "?");
+    if (kinds[i].keyed_sources) set.keys.push_back({src, key});
+    set.keys.push_back({ref, key});
+    set.inclusions.push_back({src, key, ref, key});
+  }
+  DtdElement root_el;
+  root_el.element = dtd.root;
+  std::string regex;
+  for (const std::string& c : content) regex += (regex.empty() ? "" : ", ") + c;
+  Alphabet regex_labels = labels;
+  root_el.content = *ParseRegex(regex, &regex_labels);
+  dtd.elements.push_back(root_el);
+  return {*DtdToTreeAutomaton(dtd, labels.size()), std::move(set)};
+}
+
+// Pins the simplex work of the ILP route on two keyfk benchmark classes,
+// one kind consistent and two kinds inconsistent: any change to a pivot
+// choice, the tableau rebuild policy or the branch-and-bound tree moves one
+// of these counts. One thread, so no abandoned fan-out work is counted.
+TEST(ConstraintsTest, KeyfkIlpEffortIsPinned) {
+  struct Case {
+    std::vector<KeyfkKind> kinds;
+    SatVerdict verdict;
+    uint64_t pivots;
+    uint64_t tableau_builds;
+    uint64_t ilp_nodes;
+  };
+  const std::vector<Case> cases = {
+      {{{2, 1, true, true}}, SatVerdict::kSat, 241, 1, 1},
+      {{{2, 0, true, true}, {1, 1, false, false}},
+       SatVerdict::kUnsat, 1174, 2, 2},
+  };
+  for (const Case& c : cases) {
+    const KeyfkInstance inst = BuildKeyfkInstance(c.kinds);
+    LctaOptions opt;
+    opt.num_threads = 1;
+    SimplexStats::Reset();
+    auto r = CheckKeyForeignKeyConsistencyIlp(inst.schema, inst.set, opt);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    const SimplexCounters simplex = SimplexStats::Aggregate();
+    EXPECT_EQ(r->verdict, c.verdict);
+    EXPECT_EQ(simplex.pivots, c.pivots);
+    EXPECT_EQ(simplex.tableau_builds, c.tableau_builds);
+    EXPECT_EQ(r->steps, c.ilp_nodes);
+  }
 }
 
 }  // namespace

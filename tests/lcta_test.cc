@@ -265,8 +265,10 @@ TEST(LctaTest, DifferentialRandomized200) {
 }
 
 TEST(LctaTest, DeterministicAcrossThreadCounts) {
-  // Verdict and witness state counts must be identical with 1, 2, and 8
-  // threads (first-qualifying-root / first-SAT-branch selection).
+  // Verdict, witness state counts and the effort counters must be identical
+  // with 1, 2, and 8 threads (first-qualifying-root / first-SAT-branch
+  // selection; effort sums only the roots up to the winning one). The
+  // thread counts are explicit, so a 1-CPU host still runs the race.
   RandomSource rng(424242);
   size_t nonempty_checked = 0;
   for (int iter = 0; iter < 25; ++iter) {
@@ -300,6 +302,8 @@ TEST(LctaTest, DeterministicAcrossThreadCounts) {
 
     bool ref_empty = true;
     IntAssignment ref_counts;
+    size_t ref_ilp_nodes = 0;
+    size_t ref_cuts = 0;
     for (size_t threads : {1u, 2u, 8u}) {
       LctaOptions opt;
       opt.num_threads = threads;
@@ -308,8 +312,14 @@ TEST(LctaTest, DeterministicAcrossThreadCounts) {
       if (threads == 1) {
         ref_empty = r->empty;
         ref_counts = r->state_counts;
+        ref_ilp_nodes = r->ilp_nodes;
+        ref_cuts = r->connectivity_cuts;
         if (!ref_empty) ++nonempty_checked;
       } else {
+        EXPECT_EQ(r->ilp_nodes, ref_ilp_nodes)
+            << "iter " << iter << " threads " << threads;
+        EXPECT_EQ(r->connectivity_cuts, ref_cuts)
+            << "iter " << iter << " threads " << threads;
         EXPECT_EQ(r->empty, ref_empty) << "iter " << iter << " threads "
                                        << threads;
         ASSERT_EQ(r->state_counts.size(), ref_counts.size());

@@ -520,6 +520,47 @@ TEST(IncrementalSimplexTest, RandomizedAgainstFreshSolves) {
   EXPECT_EQ(walks.warm_start_hits, 679u);
 }
 
+// Tableau rows keep their cells unordered: fill-in is appended, so a row
+// can store a column after a larger one. Bland's rule still needs the
+// smallest column in the two places that pick a cell of one row: the
+// dual-repair entering column and the phase-1 drive-out of a zero-level
+// artificial. These two systems reach both with fill-in below an existing
+// cell (picking the first stored cell instead changes the vertex of the
+// first and the pivot count of the second); the pins are the sorted-row
+// solver's.
+TEST(IncrementalSimplexTest, BlandChoicesUseSmallestColumnNotStorageOrder) {
+  {
+    SimplexStats::Reset();
+    LinearSystem base = {LinearAtom::Eq(MakeExpr({3, -3, -1, 2}, 0)),
+                         LinearAtom::Ge(MakeExpr({-1, 3, -3, -3}, 2)),
+                         LinearAtom::Ge(MakeExpr({-1, 1, -1, -3}, 5))};
+    auto inc = IncrementalSimplex::Create(base, 4);
+    ASSERT_TRUE(inc.ok() && inc->feasible());
+    ASSERT_TRUE(inc->SetUpperBound(0, BigInt(4)).ok());
+    ASSERT_TRUE(inc->SetUpperBound(2, BigInt(0)).ok());
+    ASSERT_TRUE(inc->feasible());
+    std::vector<std::string> x;
+    for (const Rational& r : inc->Assignment()) x.push_back(r.ToString());
+    EXPECT_EQ(x, (std::vector<std::string>{"4", "38/7", "0", "15/7"}));
+    EXPECT_EQ(SimplexStats::Aggregate().pivots, 5u);
+  }
+  {
+    SimplexStats::Reset();
+    LinearSystem base = {LinearAtom::Ge(MakeExpr({2, 3, -3, -1}, -3)),
+                         LinearAtom::Eq(MakeExpr({3, 3, -3, 0}, -3))};
+    auto inc = IncrementalSimplex::Create(base, 4);
+    ASSERT_TRUE(inc.ok() && inc->feasible());
+    ASSERT_TRUE(inc->SetUpperBound(1, BigInt(4)).ok());
+    ASSERT_TRUE(inc->SetUpperBound(3, BigInt(2)).ok());
+    ASSERT_TRUE(inc->SetUpperBound(0, BigInt(1)).ok());
+    ASSERT_TRUE(inc->SetUpperBound(1, BigInt(1)).ok());
+    ASSERT_TRUE(inc->feasible());
+    ASSERT_TRUE(inc->SetLowerBound(0, BigInt(4)).ok());
+    EXPECT_FALSE(inc->feasible());
+    EXPECT_EQ(SimplexStats::Aggregate().pivots, 3u);
+  }
+}
+
 // A Parikh-image flow system shaped like the LCTA emptiness checks: a
 // layered graph (width 12, 24 layers, every node feeding two successors)
 // with one conservation equality per node, a unit of throughput, and parity
@@ -607,7 +648,9 @@ TEST(SimplexStatsTest, PivotSequenceIsPinned) {
 
 TEST(IlpTest, SolveDnfDeterministicAcrossThreadCounts) {
   // A disjunction whose branches have distinct witnesses: the selected
-  // branch (and thus the witness) must not depend on the thread count.
+  // branch (and thus the witness) and the node count must not depend on the
+  // thread count. Every branch past the winner is feasible too, so a count
+  // that included abandoned work would change with scheduling.
   std::vector<LinearSystem> branches;
   for (int64_t k = 5; k >= 1; --k) {
     // Branch: x0 == k && x1 == 10 - k.
@@ -622,6 +665,7 @@ TEST(IlpTest, SolveDnfDeterministicAcrossThreadCounts) {
 
   IntAssignment expected;
   std::vector<BranchOutcome> expected_outcomes;
+  size_t expected_nodes = 0;
   for (size_t threads : {1u, 2u, 8u}) {
     IlpOptions opt;
     opt.num_threads = threads;
@@ -631,6 +675,9 @@ TEST(IlpTest, SolveDnfDeterministicAcrossThreadCounts) {
     if (threads == 1) {
       expected = r->solution.assignment;
       expected_outcomes = r->outcomes;
+      expected_nodes = r->solution.nodes_explored;
+      // Branch 0 fails preprocessing; branches 1 and 2 take one node each.
+      EXPECT_EQ(expected_nodes, 2u);
       EXPECT_EQ(expected[0].ToString(), "5");  // first feasible branch: k=5
       EXPECT_EQ(expected[1].ToString(), "5");
       EXPECT_EQ(r->outcomes[0], BranchOutcome::kInfeasible);
@@ -643,6 +690,8 @@ TEST(IlpTest, SolveDnfDeterministicAcrossThreadCounts) {
             << "threads " << threads << " var " << i;
       }
       EXPECT_EQ(r->outcomes, expected_outcomes) << "threads " << threads;
+      EXPECT_EQ(r->solution.nodes_explored, expected_nodes)
+          << "threads " << threads;
     }
   }
 }
