@@ -19,7 +19,7 @@
 /// ScopedArenaAccounting, every *new* block the arena reserves (plus the
 /// blocks already warm at attach time) is charged to the context, so the
 /// governor's MemoryHighWater and the per-phase gauges sampled by
-/// ScopedPhaseMemory include solver scratch instead of undercounting it.
+/// ScopedPhase include solver scratch instead of undercounting it.
 ///
 /// Concurrency contract (DESIGN.md §12): SolveArena is thread-COMPATIBLE,
 /// not thread-safe — it takes no locks and has no atomics. Every arena is

@@ -25,11 +25,11 @@ Status ExecutionContext::ChargeMemory(uint64_t bytes,
   uint64_t total =
       bytes_charged_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   phases_.RecordMemory(total);  // high-water gauge, budget or not
-  // Per-phase attribution: the innermost open memory scope on this thread
+  // Per-phase attribution: the innermost open phase scope on this thread
   // wins; a charge outside any scope falls back to the charging module's
   // phase so no byte goes unattributed.
   Phase phase;
-  if (!ScopedPhaseMemory::CurrentPhase(&phase)) phase = PhaseForModule(module);
+  if (!ScopedPhase::CurrentPhase(&phase)) phase = PhaseForModule(module);
   phases_.RecordPhaseMemory(phase, total);
   if (max_bytes_ != 0 && total > max_bytes_) {
     return Status::ResourceExhausted(

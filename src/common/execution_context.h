@@ -174,7 +174,7 @@ class ExecutionContext {
   ExecCounters& counters() const { return counters_; }
 
   /// Per-phase wall-time/effort accumulator for this solve, written by
-  /// ScopedPhaseTimer from every worker thread (same const-ref convention as
+  /// ScopedPhase from every worker thread (same const-ref convention as
   /// counters()). Snapshot with SnapshotPhaseProfile(). Accumulates over the
   /// context's lifetime: reuse a context across solves and the profile spans
   /// all of them, exactly like the effort counters.
@@ -186,7 +186,7 @@ class ExecutionContext {
   }
 
   /// Running total currently charged against the accountant, in bytes.
-  /// Sampled by ScopedPhaseMemory to attribute footprints to phases.
+  /// Sampled by ScopedPhase to attribute footprints to phases.
   uint64_t BytesCharged() const {
     return bytes_charged_.load(std::memory_order_relaxed);
   }
@@ -201,11 +201,6 @@ class ExecutionContext {
   /// deadline. Returns OK, or Cancelled / ResourceExhausted carrying a
   /// structured StopReason naming \p module.
   Status Check(const char* module) const;
-
-  /// True when the deadline has passed (false when unarmed).
-  bool DeadlineExpired() const {
-    return has_deadline_ && std::chrono::steady_clock::now() >= deadline_;
-  }
 
   /// StopReason for a deadline exit detected by \p module.
   StopReason DeadlineReason(const char* module) const {
@@ -229,7 +224,7 @@ class ExecutionContext {
   // the high-water mark lives in phases_.mem_high_water.
   mutable std::atomic<uint64_t> bytes_charged_{0};
   // mutable: Check() is logically const but counts deadline consultations,
-  // and phase timers charge the shared accumulator through const pointers.
+  // and phase scopes charge the shared accumulator through const pointers.
   mutable ExecCounters counters_;
   mutable PhaseAccumulator phases_;
 };

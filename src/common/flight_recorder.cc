@@ -158,19 +158,15 @@ void SolveRecorder::AddBudget(const char* key, uint64_t value) {
   record_.budgets.emplace_back(key, value);
 }
 
-void SolveRecorder::SetThreads(uint64_t threads) {
-  if (!active_) return;
-  record_.threads = threads;
-}
-
-void SolveRecorder::SetSeed(uint64_t seed) {
-  if (!active_) return;
-  record_.seed = seed;
-}
-
-void SolveRecorder::SetRequestId(std::string request_id) {
-  if (!active_) return;
-  record_.request_id = std::move(request_id);
+std::string SolveRecorder::Begin(const FacadeRequest& request, bool cached) {
+  const bool caching = cached && SolveCache::Instance().enabled();
+  if (!active_ && !caching) return "";
+  const std::string body = request.body();
+  SetInput(body);
+  if (active_ && request.replayable) SetReplayInput(body);
+  for (const auto& [key, value] : request.budgets) AddBudget(key, value);
+  if (request.threads != 0) record_.threads = request.threads;
+  return caching ? SolveCacheKey(request.facade, body) : "";
 }
 
 void SolveRecorder::Finish(SolveOutcome outcome) {
@@ -192,9 +188,7 @@ void SolveRecorder::Finish(SolveOutcome outcome) {
   uint64_t cpu_now = ProcessCpuMs();
   record_.cpu_ms = cpu_now > cpu_start_ms_ ? cpu_now - cpu_start_ms_ : 0;
   record_.outcome = std::move(outcome);
-  if (record_.request_id.empty() && exec_ != nullptr) {
-    record_.request_id = exec_->request_id();
-  }
+  if (exec_ != nullptr) record_.request_id = exec_->request_id();
 
   const FlightRecorderConfig config = FlightRecorder::Instance().config();
   const std::string& mode = config.capture_mode;

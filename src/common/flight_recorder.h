@@ -22,15 +22,9 @@
 /// degraded); `FO2DT_CAPTURE_DIR=<dir>` overrides the bundle root (default
 /// `<query_log>.captures`). Tests use Configure() directly.
 ///
-/// Usage in a facade (see frontend/solver.cc for the pattern):
-///   SolveRecorder rec(names::kFacadeFrontendSat, options.exec);
-///   if (rec.active()) {            // serialization only when recording
-///     rec.SetInput(canonical);     // hashing + size
-///     rec.SetReplayInput(body);    // replayable text, enables capture
-///     rec.AddBudget("max_steps", options.max_steps);
-///   }
-///   auto result = <solve>;
-///   rec.Finish(OutcomeFrom(result));
+/// Facades do not drive the recorder themselves: each entry point hands its
+/// body serializer, budgets, solve and result codec to RunFacade (below),
+/// which records, consults the verdict cache and finishes in one order.
 ///
 /// Nested facades (constraints → frontend) do not double-log: SolveRecorder
 /// keeps a thread-local depth and only the outermost recorder is active.
@@ -41,11 +35,15 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "common/query_log.h"
+#include "common/solve_cache.h"
 #include "common/symbol.h"
 
 namespace fo2dt {
@@ -100,6 +98,33 @@ class FlightRecorder {
   std::atomic<uint64_t> bundle_seq_{0};
 };
 
+/// \brief What a facade tells RunFacade about one solve besides the solve.
+/// `body` is the canonical input (hashed into the record and the cache key,
+/// and the bundle's replay text when `replayable`); it is built only when
+/// the solve is recorded or its verdict cache is on.
+struct FacadeRequest {
+  const char* facade;  ///< names::kFacade...; also namespaces the cache key
+  const ExecutionContext* exec;
+  std::function<std::string()> body;
+  std::vector<std::pair<const char*, uint64_t>> budgets;
+  uint64_t threads = 0;    ///< worker threads; 0 keeps the record's default
+  bool replayable = true;  ///< false: no replay parser, never capture
+};
+
+/// \brief How RunFacade reads a facade's result type T: its record outcome,
+/// an optional last step of a cold solve under the request's governor
+/// (`settle`), and the verdict-cache entry it writes and reads back (unset
+/// `encode`: uncached; `decode` is false on an entry it cannot rebuild, and
+/// the solve then runs cold).
+template <typename T>
+struct FacadeCodec {
+  std::function<SolveOutcome(const Result<T>&)> outcome{};
+  std::function<Result<T>(Result<T>, const ExecutionContext*)> settle{};
+  std::function<SolveCacheEntry(const T&)> encode{};
+  std::function<bool(const SolveCacheEntry&, T*)> decode{};
+  const char* cache_module = nullptr;  ///< charged for an entry's memory
+};
+
 /// \brief RAII recorder for one facade solve. Construct at facade entry,
 /// call Finish() with the outcome before returning. Inactive recorders (no
 /// query log configured, or nested inside another facade on this thread)
@@ -124,17 +149,15 @@ class SolveRecorder {
   /// Records one budget constant in effect (key must be a plain identifier).
   void AddBudget(const char* key, uint64_t value);
 
-  void SetThreads(uint64_t threads);
-  void SetSeed(uint64_t seed);
-
-  /// Correlation id for the query-log record and bundle manifest. Optional:
-  /// when unset, Finish() inherits the ExecutionContext's request_id, so
-  /// daemon solves correlate without every facade calling this.
-  void SetRequestId(std::string request_id);
+  /// Records \p request's body, budgets and threads when active, and returns
+  /// the verdict-cache key when \p cached and the cache is on ("" when the
+  /// cache is not consulted). The body is built only if either holds.
+  std::string Begin(const FacadeRequest& request, bool cached);
 
   /// Logs the record (and captures a bundle per policy). Idempotent; only
-  /// the first call records. When \p outcome carries no profile and the
-  /// facade ran under an ExecutionContext, the profile is snapshotted here.
+  /// the first call records. The record's request_id is the
+  /// ExecutionContext's. When \p outcome carries no profile and the facade
+  /// ran under an ExecutionContext, the profile is snapshotted here.
   void Finish(SolveOutcome outcome);
 
  private:
@@ -150,6 +173,33 @@ class SolveRecorder {
   std::chrono::steady_clock::time_point start_;
   uint64_t cpu_start_ms_ = 0;
 };
+
+/// \brief The pipeline of every facade entry point, in one order: record
+/// the input, budgets and threads; key the verdict cache and serve a hit it
+/// can decode; otherwise solve, settle, cache the result and record it.
+template <typename T>
+Result<T> RunFacade(const FacadeRequest& request, const FacadeCodec<T>& codec,
+                    const std::function<Result<T>()>& solve) {
+  SolveRecorder rec(request.facade, request.exec);
+  const std::string key = rec.Begin(request, codec.encode != nullptr);
+  if (!key.empty()) {
+    std::optional<SolveCacheEntry> hit = SolveCache::Instance().Lookup(key);
+    T served;
+    if (hit.has_value() && codec.decode(*hit, &served)) {
+      Result<T> result = std::move(served);
+      rec.Finish(codec.outcome(result));
+      return result;
+    }
+  }
+  Result<T> result =
+      codec.settle ? codec.settle(solve(), request.exec) : solve();
+  if (!key.empty() && result.ok()) {
+    SolveCache::Instance().Insert(key, codec.encode(*result), request.exec,
+                                  codec.cache_module);
+  }
+  rec.Finish(codec.outcome(result));
+  return result;
+}
 
 /// Notes the solve cache's disposition ("hit" / "miss") for the top-level
 /// solve running on this thread. First call wins: a verdict-cache hit at the

@@ -34,65 +34,47 @@ Phase PhaseForModule(const char* module) {
 
 namespace {
 
-ScopedPhaseTimer*& ThreadCurrentTimer() {
-  thread_local ScopedPhaseTimer* current = nullptr;
+ScopedPhase*& ThreadCurrentPhase() {
+  thread_local ScopedPhase* current = nullptr;
   return current;
 }
 
-ScopedPhaseMemory*& ThreadCurrentMemoryScope() {
-  thread_local ScopedPhaseMemory* current = nullptr;
-  return current;
+uint64_t NanosBetween(std::chrono::steady_clock::time_point from,
+                      std::chrono::steady_clock::time_point to) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
 }
 
 }  // namespace
 
-ScopedPhaseTimer* ScopedPhaseTimer::Current() { return ThreadCurrentTimer(); }
-
-ScopedPhaseTimer::ScopedPhaseTimer(Phase phase, const ExecutionContext* exec)
-    : phase_(phase), exec_(exec), parent_(ThreadCurrentTimer()) {
-  auto now = std::chrono::steady_clock::now();
-  if (parent_ != nullptr) {
-    // Pause the enclosing timer: bank its running stretch as self time.
-    parent_->self_ns_ += static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            now - parent_->resumed_)
-            .count());
-  }
-  ThreadCurrentTimer() = this;
-  resumed_ = now;
+ScopedPhase* ScopedPhase::Clocked(ScopedPhase* scope) {
+  while (scope != nullptr && !scope->clock_running_) scope = scope->parent_;
+  return scope;
 }
 
-ScopedPhaseTimer::~ScopedPhaseTimer() {
-  auto now = std::chrono::steady_clock::now();
-  self_ns_ += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(now - resumed_)
-          .count());
-  PhaseCounters& local = PhaseStats::Local();
-  PhaseCounters::Entry& entry = local.phases[static_cast<size_t>(phase_)];
-  entry.calls += 1;
-  entry.wall_ns += self_ns_;
-  entry.effort += effort_;
-  if (exec_ != nullptr) exec_->phases().Add(phase_, self_ns_, effort_);
-  ThreadCurrentTimer() = parent_;
-  if (parent_ != nullptr) parent_->resumed_ = now;  // resume its clock
-}
-
-bool ScopedPhaseMemory::CurrentPhase(Phase* out) {
-  ScopedPhaseMemory* current = ThreadCurrentMemoryScope();
+bool ScopedPhase::CurrentPhase(Phase* out) {
+  ScopedPhase* current = ThreadCurrentPhase();
   if (current == nullptr) return false;
   *out = current->phase_;
   return true;
 }
 
-ScopedPhaseMemory::ScopedPhaseMemory(Phase phase, const ExecutionContext* exec)
-    : phase_(phase), exec_(exec), parent_(ThreadCurrentMemoryScope()) {
-  ThreadCurrentMemoryScope() = this;
+ScopedPhase::ScopedPhase(const char* span, Phase phase,
+                         const ExecutionContext* exec)
+    : span_(span), phase_(phase), exec_(exec), parent_(ThreadCurrentPhase()) {
+  auto now = std::chrono::steady_clock::now();
+  if (ScopedPhase* enclosing = Clocked(parent_)) {
+    // Pause the enclosing clock: bank its running stretch as self time.
+    enclosing->self_ns_ += NanosBetween(enclosing->resumed_, now);
+  }
+  ThreadCurrentPhase() = this;
+  resumed_ = now;
   if (exec_ != nullptr) {
     exec_->phases().RecordPhaseMemory(phase_, exec_->BytesCharged());
   }
 }
 
-ScopedPhaseMemory::~ScopedPhaseMemory() {
+ScopedPhase::~ScopedPhase() {
   if (exec_ != nullptr) {
     uint64_t total = exec_->BytesCharged();
     exec_->phases().RecordPhaseMemory(phase_, total);
@@ -102,7 +84,24 @@ ScopedPhaseMemory::~ScopedPhaseMemory() {
         PhaseStats::Local().phases[static_cast<size_t>(phase_)];
     if (total > entry.mem_peak) entry.mem_peak = total;
   }
-  ThreadCurrentMemoryScope() = parent_;
+  StopClock();
+  ThreadCurrentPhase() = parent_;
+}
+
+void ScopedPhase::StopClock() {
+  if (!clock_running_) return;
+  auto now = std::chrono::steady_clock::now();
+  self_ns_ += NanosBetween(resumed_, now);
+  PhaseCounters::Entry& entry =
+      PhaseStats::Local().phases[static_cast<size_t>(phase_)];
+  entry.calls += 1;
+  entry.wall_ns += self_ns_;
+  entry.effort += effort_;
+  if (exec_ != nullptr) exec_->phases().Add(phase_, self_ns_, effort_);
+  clock_running_ = false;
+  if (ScopedPhase* enclosing = Clocked(parent_)) {
+    enclosing->resumed_ = now;  // resume its clock
+  }
 }
 
 Phase PhaseProfile::DominantPhase() const {

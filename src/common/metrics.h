@@ -11,18 +11,12 @@
 ///     ("solverlp.ilp", "lcta.cuts", ...) onto phases so a StopReason can be
 ///     attributed to the phase that exhausted the budget.
 ///
-///  2. **ScopedPhaseTimer** — always-compiled coarse instrumentation (a few
-///     steady_clock reads per phase entry/exit, at facade granularity; this
-///     is *not* the fine-grained span tracing of common/trace.h, which is
-///     compiled out of optimized builds). Timers attribute *self* time:
-///     entering a nested timer pauses the enclosing one, so the per-phase
-///     wall times are exclusive and sum to the instrumented total instead of
-///     double-counting nested calls (LCTA → ILP → simplex). Each timer
-///     writes two sinks at destruction: the thread-local PhaseStats block
-///     (process-wide aggregation for benchmarks, via ThreadStats) and, when
-///     given one, the ExecutionContext's PhaseAccumulator (per-solve
-///     aggregation across worker threads, the source of SatResult's
-///     PhaseProfile).
+///  2. **ScopedPhase** — always-compiled attribution of one phase's self
+///     time, effort, memory high-water and trace span. Each scope writes two
+///     sinks: the thread-local PhaseStats block (process-wide aggregation
+///     for benchmarks, via ThreadStats) and, when given one, the
+///     ExecutionContext's PhaseAccumulator (per-solve aggregation across
+///     worker threads, the source of SatResult's PhaseProfile).
 ///
 ///  3. **MetricsRegistry** — one snapshot/reset API federating every counter
 ///     family in the process: the phase/gauge blocks defined here plus the
@@ -44,6 +38,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_stats.h"
+#include "common/trace.h"
 
 namespace fo2dt {
 
@@ -113,10 +108,10 @@ struct PhaseCounters {
 using PhaseStats = ThreadStats<PhaseCounters>;
 
 /// \brief Per-solve phase accumulator, shared by every worker thread of one
-/// ExecutionContext. All atomics; written by ScopedPhaseTimer destructors.
+/// ExecutionContext. All atomics; written by ScopedPhase destructors.
 struct PhaseAccumulator {
   struct Slot {
-    // atomic: relaxed fetch_add from each worker's timer destructor plus
+    // atomic: relaxed fetch_add from each worker's scope destructor plus
     // max-CAS gauges; snapshots may tear across fields (diagnostics only).
     std::atomic<uint64_t> calls{0};
     std::atomic<uint64_t> wall_ns{0};
@@ -148,68 +143,57 @@ struct PhaseAccumulator {
   }
 };
 
-/// \brief RAII self-time attribution for one phase. Always compiled in; the
-/// overhead budget is a handful of clock reads per *phase entry*, never per
-/// work unit — hot loops stay untimed and only flush effort counters.
+/// \brief RAII attribution of one phase: trace span \p span (compiled out
+/// of optimized builds, common/trace.h), self time, effort and memory
+/// high-water. The overhead budget is a handful of clock reads per *phase
+/// entry*, never per work unit — hot loops only flush effort counters.
 ///
-/// Nesting (same or different phases, same thread) is handled by pausing the
-/// enclosing timer: its elapsed-since-resume is charged to its own phase
-/// before the nested timer starts the clock for its phase.
-class ScopedPhaseTimer {
+/// Scopes nest per thread on one chain. Opening a scope pauses the enclosing
+/// one's clock, so per-phase wall times are exclusive and sum to the
+/// instrumented total instead of double-counting nested calls (LCTA → ILP →
+/// simplex). The innermost scope owns this thread's memory charges (a charge
+/// during LCTA → ILP is the ILP phase's memory); entry and exit also sample
+/// the accountant's running total into the phase's gauge, so a phase that
+/// merely *holds* memory charged earlier still shows its footprint. With a
+/// null ExecutionContext the memory half is inert.
+class ScopedPhase {
  public:
-  explicit ScopedPhaseTimer(Phase phase, const ExecutionContext* exec = nullptr);
-  ~ScopedPhaseTimer();
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
+  ScopedPhase(const char* span, Phase phase,
+              const ExecutionContext* exec = nullptr);
+  ~ScopedPhase();
+  ScopedPhase(const ScopedPhase&) = delete;
+  ScopedPhase& operator=(const ScopedPhase&) = delete;
 
   /// Adds phase-specific effort units (steps, nodes, rounds) to be flushed
-  /// with the timer.
+  /// with the clock.
   void AddEffort(uint64_t units) { effort_ += units; }
 
-  /// The innermost timer open on the calling thread (nullptr outside any).
-  static ScopedPhaseTimer* Current();
-
- private:
-  Phase phase_;
-  const ExecutionContext* exec_;
-  ScopedPhaseTimer* parent_;
-  uint64_t self_ns_ = 0;
-  uint64_t effort_ = 0;
-  std::chrono::steady_clock::time_point resumed_;
-};
-
-/// \brief RAII memory-scope companion to ScopedPhaseTimer: while open, the
-/// memory accountant attributes its running total to \p phase, so every
-/// charge lands in a per-phase high-water gauge next to the phase's wall
-/// time. The lint rule `timer-memory-scope` enforces that each timer site
-/// opens the matching memory scope.
-///
-/// Like the timer, scopes nest per thread (innermost wins: a charge during
-/// LCTA → ILP is the ILP phase's memory). Construction and destruction also
-/// sample the accountant's current total into the phase's gauge, so a phase
-/// that merely *holds* memory charged earlier still shows its footprint.
-/// With a null ExecutionContext the scope is inert (two branch tests).
-class ScopedPhaseMemory {
- public:
-  explicit ScopedPhaseMemory(Phase phase,
-                             const ExecutionContext* exec = nullptr);
-  ~ScopedPhaseMemory();
-  ScopedPhaseMemory(const ScopedPhaseMemory&) = delete;
-  ScopedPhaseMemory& operator=(const ScopedPhaseMemory&) = delete;
+  /// Flushes calls, self time and effort now and resumes the enclosing
+  /// clock; memory stays attributed to this phase until destruction. For an
+  /// innermost scope whose thread goes on to wait on self-timing workers.
+  void StopClock();
 
   /// The innermost open scope's phase on the calling thread; false when no
   /// scope is open (the accountant then falls back to PhaseForModule).
   static bool CurrentPhase(Phase* out);
 
  private:
+  /// \p scope or its nearest ancestor whose clock still runs.
+  static ScopedPhase* Clocked(ScopedPhase* scope);
+
+  TraceSpan span_;
   Phase phase_;
   const ExecutionContext* exec_;
-  ScopedPhaseMemory* parent_;
+  ScopedPhase* parent_;
+  bool clock_running_ = true;
+  uint64_t self_ns_ = 0;
+  uint64_t effort_ = 0;
+  std::chrono::steady_clock::time_point resumed_;
 };
 
 /// \brief Per-phase profile of one solve, carried on SatResult.
 ///
-/// Wall times are self times (see ScopedPhaseTimer) summed across the
+/// Wall times are self times (see ScopedPhase) summed across the
 /// solve's worker threads; on a parallel solve they can exceed elapsed wall
 /// clock. `stop` is the structured reason if the solve degraded or was cut
 /// short (kind == kNone for a definite verdict).

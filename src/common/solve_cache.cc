@@ -321,10 +321,7 @@ void SolveCache::EvictLocked() {
       bytes_ -= it->second.bytes;
       store.erase(it);
     }
-    const char* metric = slot == Slot::kSolve
-                             ? names::kMetricCacheSolveEvictions
-                             : names::kMetricCacheSubEvictions;
-    ++counters_[metric];
+    ++(slot == Slot::kSolve ? counts_.solve_evictions : counts_.sub_evictions);
     lru_.pop_front();
   }
 }
@@ -345,19 +342,17 @@ void SolveCache::InsertLocked(Slot slot, const std::string& key,
   EvictLocked();
 }
 
-std::optional<SolveCacheEntry> SolveCache::Lookup(const std::string& key,
-                                                  const char* hit_metric,
-                                                  const char* miss_metric) {
+std::optional<SolveCacheEntry> SolveCache::Lookup(const std::string& key) {
   ScopedRankedLock lock(mu_);
   if (!config_.enabled) return std::nullopt;
   auto it = solve_.find(key);
   if (it == solve_.end()) {
-    ++counters_[miss_metric];
+    ++counts_.solve_misses;
     NoteSolveCacheDisposition("miss");
     return std::nullopt;
   }
   lru_.splice(lru_.end(), lru_, it->second.lru_it);
-  ++counters_[hit_metric];
+  ++counts_.solve_hits;
   NoteSolveCacheDisposition("hit");
   return it->second.entry;
 }
@@ -379,9 +374,7 @@ void SolveCache::Insert(const std::string& key, const SolveCacheEntry& entry,
   if (fresh) AppendEntryLocked(key, entry);
 }
 
-std::optional<std::string> SolveCache::LookupSub(const std::string& key,
-                                                 const char* hit_metric,
-                                                 const char* miss_metric) {
+std::optional<std::string> SolveCache::LookupSub(const std::string& key) {
   ScopedRankedLock lock(mu_);
   if (!config_.enabled) return std::nullopt;
   auto it = sub_.find(key);
@@ -389,11 +382,11 @@ std::optional<std::string> SolveCache::LookupSub(const std::string& key,
   // reports the verdict-level disposition, and a body-memo hit ahead of a
   // verdict miss must not masquerade as a served solve.
   if (it == sub_.end()) {
-    ++counters_[miss_metric];
+    ++counts_.sub_misses;
     return std::nullopt;
   }
   lru_.splice(lru_.end(), lru_, it->second.lru_it);
-  ++counters_[hit_metric];
+  ++counts_.sub_hits;
   return it->second.value;
 }
 
@@ -411,17 +404,7 @@ void SolveCache::InsertSub(const std::string& key, std::string value,
 
 SolveCache::Stats SolveCache::stats() const {
   ScopedRankedLock lock(mu_);
-  Stats out;
-  auto get = [this](const char* key) {
-    auto it = counters_.find(key);
-    return it == counters_.end() ? 0ull : it->second;
-  };
-  out.solve_hits = get(names::kMetricCacheSolveHits);
-  out.solve_misses = get(names::kMetricCacheSolveMisses);
-  out.sub_hits = get(names::kMetricCacheSubHits);
-  out.sub_misses = get(names::kMetricCacheSubMisses);
-  out.solve_evictions = get(names::kMetricCacheSolveEvictions);
-  out.sub_evictions = get(names::kMetricCacheSubEvictions);
+  Stats out = counts_;
   out.entries = solve_.size() + sub_.size();
   out.bytes = bytes_;
   return out;
@@ -433,14 +416,13 @@ void SolveCache::Clear() {
   solve_.clear();
   sub_.clear();
   bytes_ = 0;
-  counters_.clear();
+  counts_ = Stats();
 }
 
 namespace {
 
-// Federates the cache counters into the unified MetricsRegistry. Every
-// counter key a lookup site passed is exported verbatim, plus the resident
-// gauges, so fo2dt_report sees hit rates without bespoke plumbing.
+// Federates the cache counters and the resident gauges into the unified
+// MetricsRegistry, so fo2dt_report sees hit rates without bespoke plumbing.
 const MetricsSourceRegistrar kSolveCacheMetricsSource(
     "solve_cache",
     [](MetricsSnapshot* snap) {

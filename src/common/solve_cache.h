@@ -103,13 +103,10 @@ class SolveCache {
   /// binary changes, so persisted entries never cross a build boundary.
   static uint64_t BuildFingerprint();
 
-  /// Looks up a verdict entry. \p hit_metric / \p miss_metric must be
-  /// registered metric-key constants (names::kMetricCache...); the matching
-  /// counter is bumped and the disposition is noted for the query log's
-  /// `cache` field. Returns nullopt when disabled or absent.
-  std::optional<SolveCacheEntry> Lookup(const std::string& key,
-                                        const char* hit_metric,
-                                        const char* miss_metric);
+  /// Looks up a verdict entry, counts the hit or miss and notes the
+  /// disposition for the query log's `cache` field. Returns nullopt when
+  /// disabled or absent.
+  std::optional<SolveCacheEntry> Lookup(const std::string& key);
 
   /// Inserts a verdict entry unless the verdict is not definite (UNKNOWN /
   /// ERROR — the kUnknown-never-cached rule) or \p exec refuses the memory
@@ -119,9 +116,7 @@ class SolveCache {
               const ExecutionContext* exec, const char* module);
 
   /// Sub-result memo: same LRU, opaque serialized values, never persisted.
-  std::optional<std::string> LookupSub(const std::string& key,
-                                       const char* hit_metric,
-                                       const char* miss_metric);
+  std::optional<std::string> LookupSub(const std::string& key);
   void InsertSub(const std::string& key, std::string value,
                  const ExecutionContext* exec, const char* module);
 
@@ -169,9 +164,8 @@ class SolveCache {
   std::unordered_map<std::string, Stored> sub_ FO2DT_GUARDED_BY(mu_);
   uint64_t bytes_ FO2DT_GUARDED_BY(mu_) = 0;
   bool header_written_ FO2DT_GUARDED_BY(mu_) = false;
-  /// Hit/miss/evict counts keyed by the registered metric name each lookup
-  /// site passed; exported verbatim by the "solve_cache" metrics source.
-  std::unordered_map<std::string, uint64_t> counters_ FO2DT_GUARDED_BY(mu_);
+  /// Hit/miss/evict counts; stats() fills in the resident gauges.
+  Stats counts_ FO2DT_GUARDED_BY(mu_);
 };
 
 /// The verdict-cache key for \p body under \p facade —

@@ -8,9 +8,7 @@
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/registry_names.h"
-#include "common/solve_cache.h"
 #include "common/strings.h"
-#include "common/trace.h"
 #include "lcta/lcta.h"
 
 namespace fo2dt {
@@ -31,6 +29,20 @@ std::string SerializeConstraintProblem(const TreeAutomaton& schema,
                          inc.from_attribute, inc.to_element, inc.to_attribute);
   }
   return body;
+}
+
+// The bounded-search budgets of the consistency and implication facades, as
+// their bodies end and as their records list them.
+std::string SearchBudgetText(const SolverOptions& options) {
+  return StringFormat("budget max_model_nodes %llu\nbudget max_steps %llu\n",
+                      static_cast<unsigned long long>(options.max_model_nodes),
+                      static_cast<unsigned long long>(options.max_steps));
+}
+
+std::vector<std::pair<const char*, uint64_t>> SearchBudgets(
+    const SolverOptions& options) {
+  return {{"max_model_nodes", options.max_model_nodes},
+          {"max_steps", options.max_steps}};
 }
 
 }  // namespace
@@ -140,30 +152,24 @@ Result<SatResult> CheckConsistencyBounded(const TreeAutomaton& schema,
                                           const SolverOptions& options) {
   SolverOptions opt = options;
   opt.structural_filter = &schema;
-  SolveRecorder rec(names::kFacadeConstraintsConsistency, options.exec);
-  if (rec.active()) {
-    std::string body = SerializeConstraintProblem(schema, set);
-    body += StringFormat(
-        "budget max_model_nodes %llu\n",
-        static_cast<unsigned long long>(options.max_model_nodes));
-    body += StringFormat("budget max_steps %llu\n",
-                         static_cast<unsigned long long>(options.max_steps));
-    rec.SetInput(body);
-    rec.SetReplayInput(body);
-    rec.AddBudget("max_model_nodes", options.max_model_nodes);
-    rec.AddBudget("max_steps", options.max_steps);
-  }
-  // Translation is charged to kConstraints; the bounded search inside the
-  // frontend call times itself (and attaches the PhaseProfile).
-  Formula query = [&] {
-    FO2DT_TRACE_SPAN(names::kModConstraintsTranslate);
-    ScopedPhaseTimer phase_timer(Phase::kConstraints, options.exec);
-    ScopedPhaseMemory phase_memory(Phase::kConstraints, options.exec);
-    return ConstraintSetToFo2(set);
-  }();
-  Result<SatResult> result = CheckFo2SatisfiabilityBounded(query, opt);
-  rec.Finish(SolveOutcomeFromSat(result));
-  return result;
+  auto body = [&] {
+    return SerializeConstraintProblem(schema, set) + SearchBudgetText(options);
+  };
+  return RunFacade<SatResult>(
+      {.facade = names::kFacadeConstraintsConsistency,
+       .exec = options.exec,
+       .body = body,
+       .budgets = SearchBudgets(options)},
+      {.outcome = SolveOutcomeFromSat}, [&] {
+        // Translation is charged to kConstraints; the bounded search inside
+        // the frontend call times itself (and attaches the PhaseProfile).
+        Formula query = [&] {
+          ScopedPhase phase(names::kModConstraintsTranslate,
+                            Phase::kConstraints, options.exec);
+          return ConstraintSetToFo2(set);
+        }();
+        return CheckFo2SatisfiabilityBounded(query, opt);
+      });
 }
 
 Result<SatResult> CheckImplicationBounded(const TreeAutomaton& schema,
@@ -172,62 +178,40 @@ Result<SatResult> CheckImplicationBounded(const TreeAutomaton& schema,
                                           const SolverOptions& options) {
   SolverOptions opt = options;
   opt.structural_filter = &schema;
-  SolveRecorder rec(names::kFacadeConstraintsImplication, options.exec);
-  if (rec.active()) {
-    std::string body = SerializeConstraintProblem(schema, premises);
+  auto body = [&] {
+    std::string b = SerializeConstraintProblem(schema, premises);
     Alphabet replay_alphabet = MakeReplayAlphabet(
         std::max(schema.num_symbols(),
                  static_cast<size_t>(conclusion.NumSymbolsSpanned())));
-    body += StringFormat("conclusion %s\n",
-                         conclusion.ToString(replay_alphabet).c_str());
-    body += StringFormat(
-        "budget max_model_nodes %llu\n",
-        static_cast<unsigned long long>(options.max_model_nodes));
-    body += StringFormat("budget max_steps %llu\n",
-                         static_cast<unsigned long long>(options.max_steps));
-    rec.SetInput(body);
-    rec.SetReplayInput(body);
-    rec.AddBudget("max_model_nodes", options.max_model_nodes);
-    rec.AddBudget("max_steps", options.max_steps);
-  }
-  Formula query = [&] {
-    FO2DT_TRACE_SPAN(names::kModConstraintsTranslate);
-    ScopedPhaseTimer phase_timer(Phase::kConstraints, options.exec);
-    ScopedPhaseMemory phase_memory(Phase::kConstraints, options.exec);
-    return Formula::And(ConstraintSetToFo2(premises),
-                        Formula::Not(conclusion));
-  }();
-  Result<SatResult> result = CheckFo2SatisfiabilityBounded(query, opt);
-  rec.Finish(SolveOutcomeFromSat(result));
-  return result;
+    b += StringFormat("conclusion %s\n",
+                      conclusion.ToString(replay_alphabet).c_str());
+    return b + SearchBudgetText(options);
+  };
+  return RunFacade<SatResult>(
+      {.facade = names::kFacadeConstraintsImplication,
+       .exec = options.exec,
+       .body = body,
+       .budgets = SearchBudgets(options)},
+      {.outcome = SolveOutcomeFromSat}, [&] {
+        Formula query = [&] {
+          ScopedPhase phase(names::kModConstraintsTranslate,
+                            Phase::kConstraints, options.exec);
+          return Formula::And(ConstraintSetToFo2(premises),
+                              Formula::Not(conclusion));
+        }();
+        return CheckFo2SatisfiabilityBounded(query, opt);
+      });
 }
 
 namespace {
 
-/// Rebuilds a keyfk SatResult from a cache entry; the facade's verdicts are
-/// witness-free counting results, so only verdict/steps/profile round-trip.
-/// False on anything else (cold fallthrough, never an error).
-bool KeyfkResultFromCacheEntry(const SolveCacheEntry& entry, SatResult* out) {
-  if (entry.verdict == "SAT") out->verdict = SatVerdict::kSat;
-  else if (entry.verdict == "UNSAT") out->verdict = SatVerdict::kUnsat;
-  else return false;  // UNKNOWN is never cached, so never reconstructed
-  if (entry.method != SatMethodToString(SatMethod::kCountingAbstraction)) {
-    return false;
-  }
-  out->method = SatMethod::kCountingAbstraction;
-  out->steps = entry.steps;
-  out->profile = entry.profile;  // the cold solve's profile
-  return entry.payload.empty();
-}
-
 Result<SatResult> CheckKeyForeignKeyConsistencyIlpImpl(
     const TreeAutomaton& schema, const ConstraintSet& set,
     const LctaOptions& options) {
-  FO2DT_TRACE_SPAN(names::kModConstraintsKeyfkIlp);
   // Self time = cardinality-constraint construction; the LCTA emptiness call
-  // below runs its own kLcta/kIlp timers.
-  ScopedPhaseTimer phase_timer(Phase::kConstraints, options.exec);
-  ScopedPhaseMemory phase_memory(Phase::kConstraints, options.exec);
+  // below runs its own kLcta/kIlp scopes.
+  ScopedPhase phase(names::kModConstraintsKeyfkIlp, Phase::kConstraints,
+                    options.exec);
   // Cardinality conditions over label counts: variable Q + l counts label l.
   const VarId q = static_cast<VarId>(schema.num_states());
   std::vector<LinearConstraint> parts;
@@ -256,22 +240,14 @@ Result<SatResult> CheckKeyForeignKeyConsistencyIlpImpl(
   lcta.automaton = schema;
   lcta.constraint = LinearConstraint::And(std::move(parts));
   lcta.use_symbol_counts = true;
-  Result<LctaEmptinessResult> r = CheckLctaEmptiness(lcta, options);
+  // A dead budget (deadline, node/cut cap) propagates as ResourceExhausted;
+  // the facade's codec degrades it to an honest kUnknown.
+  FO2DT_ASSIGN_OR_RETURN(LctaEmptinessResult r,
+                         CheckLctaEmptiness(lcta, options));
   SatResult out;
   out.method = SatMethod::kCountingAbstraction;
-  if (!r.ok()) {
-    // Graceful degradation: a dead budget (deadline, node/cut cap) is an
-    // honest kUnknown with the structured reason; cancellation and genuine
-    // errors propagate.
-    if (!r.status().IsResourceExhausted()) return r.status();
-    out.verdict = SatVerdict::kUnknown;
-    if (const StopReason* reason = r.status().stop_reason()) {
-      out.stop_reason = *reason;
-    }
-    return out;
-  }
-  out.steps = r->ilp_nodes;
-  out.verdict = r->empty ? SatVerdict::kUnsat : SatVerdict::kSat;
+  out.steps = r.ilp_nodes;
+  out.verdict = r.empty ? SatVerdict::kUnsat : SatVerdict::kSat;
   return out;
 }
 
@@ -280,66 +256,39 @@ Result<SatResult> CheckKeyForeignKeyConsistencyIlpImpl(
 Result<SatResult> CheckKeyForeignKeyConsistencyIlp(const TreeAutomaton& schema,
                                                    const ConstraintSet& set,
                                                    const LctaOptions& options) {
-  SolveRecorder rec(names::kFacadeConstraintsKeyfk, options.exec);
-  SolveCache& cache = SolveCache::Instance();
-  const bool caching = cache.enabled();
-  std::string body;
-  if (rec.active() || caching) {
-    body = SerializeConstraintProblem(schema, set);
-    body += StringFormat("budget max_ilp_nodes %llu\n",
-                         static_cast<unsigned long long>(options.max_ilp_nodes));
-    body += StringFormat("budget max_cuts %llu\n",
-                         static_cast<unsigned long long>(options.max_cuts));
-    body += StringFormat(
+  auto body = [&] {
+    std::string b = SerializeConstraintProblem(schema, set);
+    b += StringFormat("budget max_ilp_nodes %llu\n",
+                      static_cast<unsigned long long>(options.max_ilp_nodes));
+    b += StringFormat("budget max_cuts %llu\n",
+                      static_cast<unsigned long long>(options.max_cuts));
+    b += StringFormat(
         "budget max_dnf_branches %llu\n",
         static_cast<unsigned long long>(options.max_dnf_branches));
-    if (rec.active()) {
-      rec.SetInput(body);
-      rec.SetReplayInput(body);
-      rec.AddBudget("max_ilp_nodes", options.max_ilp_nodes);
-      rec.AddBudget("max_cuts", options.max_cuts);
-      rec.AddBudget("max_dnf_branches", options.max_dnf_branches);
-      size_t threads = options.num_threads != 0
-                           ? options.num_threads
-                           : std::max(1u, std::thread::hardware_concurrency());
-      rec.SetThreads(threads);
-    }
-  }
+    return b;
+  };
   // This facade runs the LCTA/ILP pipeline directly (no inner frontend solve
-  // to piggyback on), so it keys its own verdict-cache entries.
-  std::string cache_key;
-  if (caching) {
-    cache_key = SolveCacheKey(names::kFacadeConstraintsKeyfk, body);
-    std::optional<SolveCacheEntry> hit = cache.Lookup(
-        cache_key, names::kMetricCacheSolveHits, names::kMetricCacheSolveMisses);
-    if (hit.has_value()) {
-      SatResult served;
-      if (KeyfkResultFromCacheEntry(*hit, &served)) {
-        Result<SatResult> result = std::move(served);
-        rec.Finish(SolveOutcomeFromSat(result));
-        return result;
-      }
-    }
-  }
-  Result<SatResult> run =
-      CheckKeyForeignKeyConsistencyIlpImpl(schema, set, options);
-  // Attach the per-phase profile after every timer of the solve has closed.
-  if (run.ok() && options.exec != nullptr) {
-    PhaseProfile profile = SnapshotPhaseProfile(*options.exec);
-    if (run->stop_reason.has_value()) profile.stop = *run->stop_reason;
-    run->profile = std::move(profile);
-  }
-  if (caching && run.ok()) {
-    // Insert() applies the kUnknown-never-cached rule for degraded solves.
-    SolveCacheEntry entry;
-    entry.verdict = SatVerdictToString(run->verdict);
-    entry.method = SatMethodToString(run->method);
-    entry.steps = run->steps;
-    entry.profile = run->profile;
-    cache.Insert(cache_key, entry, options.exec, names::kModConstraintsKeyfkIlp);
-  }
-  rec.Finish(SolveOutcomeFromSat(run));
-  return run;
+  // to piggyback on), so it keys its own verdict-cache entries. Its verdicts
+  // are witness-free counting results.
+  SatPayloadCodec counting_only;
+  counting_only.read = [](const std::string& payload, SatResult* out) {
+    return payload.empty() && out->method == SatMethod::kCountingAbstraction;
+  };
+  return RunFacade<SatResult>(
+      {.facade = names::kFacadeConstraintsKeyfk,
+       .exec = options.exec,
+       .body = body,
+       .budgets = {{"max_ilp_nodes", options.max_ilp_nodes},
+                   {"max_cuts", options.max_cuts},
+                   {"max_dnf_branches", options.max_dnf_branches}},
+       .threads = options.num_threads != 0
+                      ? options.num_threads
+                      : std::max(1u, std::thread::hardware_concurrency())},
+      CachedSatCodec(SatMethod::kCountingAbstraction,
+                     names::kModConstraintsKeyfkIlp, std::move(counting_only)),
+      [&] {
+        return CheckKeyForeignKeyConsistencyIlpImpl(schema, set, options);
+      });
 }
 
 }  // namespace fo2dt

@@ -10,7 +10,6 @@
 #include "common/registry_names.h"
 #include "common/solve_cache.h"
 #include "common/strings.h"
-#include "common/trace.h"
 #include "datatree/text_io.h"
 #include "lcta/lcta.h"
 #include "logic/intern.h"
@@ -64,38 +63,6 @@ SolveOutcome SolveOutcomeFromSat(const Result<SatResult>& result) {
 
 namespace {
 
-constexpr const char* kFrontendModule = names::kModFrontendSolver;
-constexpr const char* kEnumModule = names::kModFrontendEnumerate;
-
-/// Graceful degradation at the facade: a budget exhaustion anywhere in the
-/// pipeline (deadline, step/node/cut caps) becomes an honest kUnknown verdict
-/// carrying the structured StopReason. Caller cancellation and genuine
-/// errors still propagate as non-OK statuses.
-Result<SatResult> DegradeToUnknown(Result<SatResult> result, SatMethod method) {
-  if (result.ok()) return result;
-  const Status& st = result.status();
-  if (!st.IsResourceExhausted()) return result;
-  SatResult out;
-  out.verdict = SatVerdict::kUnknown;
-  out.method = method;
-  if (const StopReason* reason = st.stop_reason()) {
-    out.stop_reason = *reason;
-  }
-  return out;
-}
-
-/// Attaches the governed solve's per-phase profile to the outgoing result.
-/// Must run after every ScopedPhaseTimer of the solve has closed, so the
-/// facade timers live in a narrower scope than the call to this.
-Result<SatResult> AttachProfile(Result<SatResult> result,
-                                const ExecutionContext* exec) {
-  if (!result.ok() || exec == nullptr) return result;
-  PhaseProfile profile = SnapshotPhaseProfile(*exec);
-  if (result->stop_reason.has_value()) profile.stop = *result->stop_reason;
-  result->profile = std::move(profile);
-  return result;
-}
-
 bool SatVerdictFromString(const std::string& s, SatVerdict* out) {
   if (s == "SAT") *out = SatVerdict::kSat;
   else if (s == "UNSAT") *out = SatVerdict::kUnsat;
@@ -112,23 +79,63 @@ bool SatMethodFromString(const std::string& s, SatMethod* out) {
   return true;
 }
 
-/// Rebuilds a SatResult from a cache entry. Returns false when the entry is
-/// malformed (e.g. a truncated persisted payload) — the caller then falls
-/// through to a cold solve instead of failing.
-bool SatResultFromCacheEntry(const SolveCacheEntry& entry, size_t alpha,
-                             SatResult* out) {
-  if (!SatVerdictFromString(entry.verdict, &out->verdict)) return false;
-  if (!SatMethodFromString(entry.method, &out->method)) return false;
-  out->steps = entry.steps;
-  out->profile = entry.profile;  // the cold solve's profile
-  if (!entry.payload.empty()) {
-    Alphabet replay_alphabet = MakeReplayAlphabet(alpha);
-    Result<DataTree> tree = ParseDataTree(entry.payload, &replay_alphabet);
-    if (!tree.ok()) return false;
-    out->witness = std::move(*tree);
-  }
-  return true;
+}  // namespace
+
+FacadeCodec<SatResult> CachedSatCodec(SatMethod degraded_method,
+                                      const char* cache_module,
+                                      SatPayloadCodec payload) {
+  FacadeCodec<SatResult> codec{.outcome = SolveOutcomeFromSat};
+  codec.settle = [degraded_method](Result<SatResult> result,
+                                   const ExecutionContext* exec)
+      -> Result<SatResult> {
+    SatResult settled;
+    if (result.ok()) {
+      settled = std::move(*result);
+    } else if (result.status().IsResourceExhausted()) {
+      // Graceful degradation: a budget exhaustion anywhere in the pipeline
+      // (deadline, step/node/cut caps) becomes an honest kUnknown verdict
+      // carrying the structured StopReason.
+      settled.method = degraded_method;
+      if (const StopReason* reason = result.status().stop_reason()) {
+        settled.stop_reason = *reason;
+      }
+    } else {
+      return result.status();  // cancellation and genuine errors propagate
+    }
+    // The solve's phase scopes have all closed by now, so the profile is
+    // complete.
+    if (exec != nullptr) {
+      PhaseProfile profile = SnapshotPhaseProfile(*exec);
+      if (settled.stop_reason.has_value()) profile.stop = *settled.stop_reason;
+      settled.profile = std::move(profile);
+    }
+    return settled;
+  };
+  codec.encode = [write = payload.write](const SatResult& result) {
+    SolveCacheEntry entry;
+    entry.verdict = SatVerdictToString(result.verdict);
+    entry.method = SatMethodToString(result.method);
+    entry.steps = result.steps;
+    entry.profile = result.profile;
+    if (write) entry.payload = write(result);
+    return entry;
+  };
+  codec.decode = [read = payload.read](const SolveCacheEntry& entry,
+                                       SatResult* out) {
+    if (!SatVerdictFromString(entry.verdict, &out->verdict)) return false;
+    if (!SatMethodFromString(entry.method, &out->method)) return false;
+    out->steps = entry.steps;
+    out->profile = entry.profile;  // the cold solve's profile
+    return read ? read(entry.payload, out) : entry.payload.empty();
+  };
+  codec.cache_module = cache_module;
+  return codec;
 }
+
+namespace {
+
+constexpr const char* kFrontendModule = names::kModFrontendSolver;
+constexpr const char* kEnumModule = names::kModFrontendEnumerate;
 
 /// Advances a restricted growth string (canonical set-partition encoding:
 /// rgs[0] == 0 and rgs[i] <= max(rgs[0..i-1]) + 1). Returns false after the
@@ -277,111 +284,84 @@ Result<SatResult> CheckFo2SatisfiabilityBounded(const Formula& sentence,
           "formula mentions labels outside the schema alphabet");
     }
   }
-  SolveRecorder rec(names::kFacadeFrontendSat, options.exec);
-  SolveCache& cache = SolveCache::Instance();
-  const bool caching = cache.enabled();
   // Serialize in the canonical replay alphabet: the formula mentions dense
   // symbol ids, so an alphabet of matching size reproduces them exactly.
   const size_t alpha =
       std::max(num_labels, static_cast<size_t>(sentence.NumSymbolsSpanned()));
-  std::string body;
-  if (rec.active() || caching) {
-    auto build_body = [&](const std::string& filter_text) {
-      Alphabet replay_alphabet = MakeReplayAlphabet(alpha);
-      std::string b = StringFormat(
-          "labels %llu\n", static_cast<unsigned long long>(num_labels));
-      b += StringFormat(
-          "budget max_model_nodes %llu\n",
-          static_cast<unsigned long long>(options.max_model_nodes));
-      b += StringFormat("budget max_steps %llu\n",
-                        static_cast<unsigned long long>(options.max_steps));
-      b += StringFormat("flag use_counting_abstraction %d\n",
-                        options.use_counting_abstraction ? 1 : 0);
-      if (!filter_text.empty()) b += "filter\n" + filter_text;
-      b += StringFormat("formula %s\n",
-                        sentence.ToString(replay_alphabet).c_str());
-      return b;
-    };
+  auto build_body = [&](const std::string& filter_text) {
+    Alphabet replay_alphabet = MakeReplayAlphabet(alpha);
+    std::string b = StringFormat(
+        "labels %llu\n", static_cast<unsigned long long>(num_labels));
+    b += StringFormat(
+        "budget max_model_nodes %llu\n",
+        static_cast<unsigned long long>(options.max_model_nodes));
+    b += StringFormat("budget max_steps %llu\n",
+                      static_cast<unsigned long long>(options.max_steps));
+    b += StringFormat("flag use_counting_abstraction %d\n",
+                      options.use_counting_abstraction ? 1 : 0);
+    if (!filter_text.empty()) b += "filter\n" + filter_text;
+    b += StringFormat("formula %s\n",
+                      sentence.ToString(replay_alphabet).c_str());
+    return b;
+  };
+  auto body = [&] {
     std::string filter_text = options.structural_filter != nullptr
                                   ? TreeAutomatonToText(*options.structural_filter)
                                   : std::string();
-    if (caching) {
-      // Hash-consed fast path: intern the sentence and the filter text, then
-      // memoize the serialized body under the exact (handle, budget) tuple.
-      // Queries that canonicalize to the same term (e.g. reordered ∧/∨
-      // operands) share one body — and therefore one verdict-cache entry.
-      const InternHandle formula_id = InternFormula(sentence);
-      const InternHandle filter_id =
-          filter_text.empty()
-              ? kInvalidInternHandle
-              : SharedInternTable::Instance().InternString(filter_text);
-      const std::string body_key = StringFormat(
-          "frontend.sat.body:%u:%u:%llu:%llu:%llu:%llu:%d", formula_id,
-          filter_id, static_cast<unsigned long long>(alpha),
-          static_cast<unsigned long long>(num_labels),
-          static_cast<unsigned long long>(options.max_model_nodes),
-          static_cast<unsigned long long>(options.max_steps),
-          options.use_counting_abstraction ? 1 : 0);
-      std::optional<std::string> memo = cache.LookupSub(
-          body_key, names::kMetricCacheSubHits, names::kMetricCacheSubMisses);
-      if (memo.has_value()) {
-        body = std::move(*memo);
-      } else {
-        body = build_body(filter_text);
-        cache.InsertSub(body_key, body, options.exec, kFrontendModule);
-      }
-    } else {
-      body = build_body(filter_text);
-    }
-    if (rec.active()) {
-      rec.SetInput(body);
-      rec.SetReplayInput(body);
-      rec.AddBudget("max_model_nodes", options.max_model_nodes);
-      rec.AddBudget("max_steps", options.max_steps);
-    }
-  }
-  std::string cache_key;
-  if (caching) {
-    cache_key = SolveCacheKey(names::kFacadeFrontendSat, body);
-    std::optional<SolveCacheEntry> hit = cache.Lookup(
-        cache_key, names::kMetricCacheSolveHits, names::kMetricCacheSolveMisses);
-    if (hit.has_value()) {
-      SatResult served;
-      if (SatResultFromCacheEntry(*hit, alpha, &served)) {
-        Result<SatResult> result = std::move(served);
-        rec.Finish(SolveOutcomeFromSat(result));
-        return result;
-      }
-    }
-  }
-  Result<SatResult> run = [&]() -> Result<SatResult> {
-    FO2DT_TRACE_SPAN(names::kModFrontendEnumerate);
-    ScopedPhaseTimer phase_timer(Phase::kBoundedSearch, options.exec);
-    ScopedPhaseMemory phase_memory(Phase::kBoundedSearch, options.exec);
-    ModelEnumerator enumerator(sentence, num_labels, options);
-    Result<SatResult> r = enumerator.Run();
-    if (r.ok()) phase_timer.AddEffort(r->steps);
-    return r;
-  }();
-  Result<SatResult> result = AttachProfile(
-      DegradeToUnknown(std::move(run), SatMethod::kBoundedModelSearch),
-      options.exec);
-  if (caching && result.ok()) {
-    // Insert() applies the kUnknown-never-cached rule, so degraded solves
-    // are retried with whatever budgets the next caller holds.
-    SolveCacheEntry entry;
-    entry.verdict = SatVerdictToString(result->verdict);
-    entry.method = SatMethodToString(result->method);
-    entry.steps = result->steps;
-    entry.profile = result->profile;
-    if (result->witness.has_value()) {
-      Alphabet replay_alphabet = MakeReplayAlphabet(alpha);
-      entry.payload = DataTreeToText(*result->witness, replay_alphabet);
-    }
-    cache.Insert(cache_key, entry, options.exec, kFrontendModule);
-  }
-  rec.Finish(SolveOutcomeFromSat(result));
-  return result;
+    SolveCache& cache = SolveCache::Instance();
+    if (!cache.enabled()) return build_body(filter_text);
+    // Hash-consed fast path: intern the sentence and the filter text, then
+    // memoize the serialized body under the exact (handle, budget) tuple.
+    // Queries that canonicalize to the same term (e.g. reordered ∧/∨
+    // operands) share one body — and therefore one verdict-cache entry.
+    const InternHandle formula_id = InternFormula(sentence);
+    const InternHandle filter_id =
+        filter_text.empty()
+            ? kInvalidInternHandle
+            : SharedInternTable::Instance().InternString(filter_text);
+    const std::string body_key = StringFormat(
+        "frontend.sat.body:%u:%u:%llu:%llu:%llu:%llu:%d", formula_id,
+        filter_id, static_cast<unsigned long long>(alpha),
+        static_cast<unsigned long long>(num_labels),
+        static_cast<unsigned long long>(options.max_model_nodes),
+        static_cast<unsigned long long>(options.max_steps),
+        options.use_counting_abstraction ? 1 : 0);
+    std::optional<std::string> memo = cache.LookupSub(body_key);
+    if (memo.has_value()) return std::move(*memo);
+    std::string built = build_body(filter_text);
+    cache.InsertSub(body_key, built, options.exec, kFrontendModule);
+    return built;
+  };
+  // The witness round-trips as replay-alphabet text.
+  SatPayloadCodec witness;
+  witness.write = [alpha](const SatResult& result) {
+    if (!result.witness.has_value()) return std::string();
+    return DataTreeToText(*result.witness, MakeReplayAlphabet(alpha));
+  };
+  witness.read = [alpha](const std::string& payload, SatResult* out) {
+    if (payload.empty()) return true;
+    Alphabet replay_alphabet = MakeReplayAlphabet(alpha);
+    Result<DataTree> tree = ParseDataTree(payload, &replay_alphabet);
+    if (!tree.ok()) return false;
+    out->witness = std::move(*tree);
+    return true;
+  };
+  return RunFacade<SatResult>(
+      {.facade = names::kFacadeFrontendSat,
+       .exec = options.exec,
+       .body = body,
+       .budgets = {{"max_model_nodes", options.max_model_nodes},
+                   {"max_steps", options.max_steps}}},
+      CachedSatCodec(SatMethod::kBoundedModelSearch, kFrontendModule,
+                     std::move(witness)),
+      [&]() -> Result<SatResult> {
+        ScopedPhase phase(names::kModFrontendEnumerate, Phase::kBoundedSearch,
+                          options.exec);
+        ModelEnumerator enumerator(sentence, num_labels, options);
+        Result<SatResult> r = enumerator.Run();
+        if (r.ok()) phase.AddEffort(r->steps);
+        return r;
+      });
 }
 
 namespace {
@@ -445,24 +425,19 @@ std::string DnfWitnessPayload(const SatResult& result,
 }
 
 /// Inverse of DnfWitnessPayload; false on any malformation (cold fallthrough).
-bool DnfResultFromCacheEntry(const SolveCacheEntry& entry,
-                             const DataNormalForm& dnf, SatResult* out) {
-  if (!SatVerdictFromString(entry.verdict, &out->verdict)) return false;
-  if (!SatMethodFromString(entry.method, &out->method)) return false;
-  out->steps = entry.steps;
-  out->profile = entry.profile;  // the cold solve's profile
-  if (out->verdict != SatVerdict::kSat) return entry.payload.empty();
-  const size_t sep = entry.payload.find('\x1e');
+bool DnfWitnessFromPayload(const std::string& payload,
+                           const DataNormalForm& dnf, SatResult* out) {
+  if (out->verdict != SatVerdict::kSat) return payload.empty();
+  const size_t sep = payload.find('\x1e');
   if (sep == std::string::npos) return false;
   Alphabet replay_alphabet = MakeReplayAlphabet(dnf.ext.num_labels);
   Result<DataTree> tree =
-      ParseDataTree(entry.payload.substr(0, sep), &replay_alphabet);
+      ParseDataTree(payload.substr(0, sep), &replay_alphabet);
   if (!tree.ok()) return false;
   PredInterpretation interp =
       PredInterpretation::Empty(dnf.ext.num_preds, tree->size());
   std::vector<std::string> rows;
-  for (const std::string& row :
-       SplitString(entry.payload.substr(sep + 1), '\n')) {
+  for (const std::string& row : SplitString(payload.substr(sep + 1), '\n')) {
     if (!row.empty()) rows.push_back(row);
   }
   if (rows.size() != static_cast<size_t>(dnf.ext.num_preds)) return false;
@@ -536,67 +511,44 @@ Result<SatResult> CheckDnfSatisfiabilityImpl(const DataNormalForm& dnf,
 
 Result<SatResult> CheckDnfSatisfiability(const DataNormalForm& dnf,
                                          const SolverOptions& options) {
-  SolveRecorder rec(names::kFacadeFrontendDnfSat, options.exec);
-  SolveCache& cache = SolveCache::Instance();
-  const bool caching = cache.enabled();
-  std::string body;
-  if (rec.active() || caching) {
-    // Canonical serialization (sorted blocks/automata/simples), so the input
-    // hash — and the verdict-cache key derived from it — identifies the DNF
-    // up to commutation. No replay parser exists for DNF bodies, so this
-    // facade still never captures a bundle.
-    body = SerializeDnf(dnf);
-    body += StringFormat("budget max_model_nodes %llu\n",
-                         static_cast<unsigned long long>(options.max_model_nodes));
-    body += StringFormat("budget max_steps %llu\n",
-                         static_cast<unsigned long long>(options.max_steps));
-    body += StringFormat("flag use_counting_abstraction %d\n",
-                         options.use_counting_abstraction ? 1 : 0);
-    if (rec.active()) {
-      rec.SetInput(body);
-      rec.AddBudget("max_model_nodes", options.max_model_nodes);
-      rec.AddBudget("max_steps", options.max_steps);
-    }
-  }
-  std::string cache_key;
-  if (caching) {
-    cache_key = SolveCacheKey(names::kFacadeFrontendDnfSat, body);
-    std::optional<SolveCacheEntry> hit = cache.Lookup(
-        cache_key, names::kMetricCacheSolveHits, names::kMetricCacheSolveMisses);
-    if (hit.has_value()) {
-      SatResult served;
-      if (DnfResultFromCacheEntry(*hit, dnf, &served)) {
-        Result<SatResult> result = std::move(served);
-        rec.Finish(SolveOutcomeFromSat(result));
-        return result;
-      }
-    }
-  }
-  Result<SatResult> run = [&] {
-    FO2DT_TRACE_SPAN(names::kModFrontendSolver);
-    // Facade glue only: each sub-pipeline (puzzle construction, counting,
-    // LCTA, ILP, bounded search) runs its own timer, so kFrontend self time
-    // is the per-block orchestration cost.
-    ScopedPhaseTimer phase_timer(Phase::kFrontend, options.exec);
-    ScopedPhaseMemory phase_memory(Phase::kFrontend, options.exec);
-    return CheckDnfSatisfiabilityImpl(dnf, options);
-  }();
-  Result<SatResult> result = AttachProfile(
-      DegradeToUnknown(std::move(run), SatMethod::kPuzzlePipeline),
-      options.exec);
-  if (caching && result.ok()) {
-    // Insert() applies the kUnknown-never-cached rule, so degraded solves
-    // are retried with whatever budgets the next caller holds.
-    SolveCacheEntry entry;
-    entry.verdict = SatVerdictToString(result->verdict);
-    entry.method = SatMethodToString(result->method);
-    entry.steps = result->steps;
-    entry.profile = result->profile;
-    entry.payload = DnfWitnessPayload(*result, dnf);
-    cache.Insert(cache_key, entry, options.exec, kFrontendModule);
-  }
-  rec.Finish(SolveOutcomeFromSat(result));
-  return result;
+  // Canonical serialization (sorted blocks/automata/simples), so the input
+  // hash — and the verdict-cache key derived from it — identifies the DNF up
+  // to commutation. No replay parser exists for DNF bodies, so this facade
+  // never captures a bundle.
+  auto body = [&] {
+    std::string b = SerializeDnf(dnf);
+    b += StringFormat("budget max_model_nodes %llu\n",
+                      static_cast<unsigned long long>(options.max_model_nodes));
+    b += StringFormat("budget max_steps %llu\n",
+                      static_cast<unsigned long long>(options.max_steps));
+    b += StringFormat("flag use_counting_abstraction %d\n",
+                      options.use_counting_abstraction ? 1 : 0);
+    return b;
+  };
+  SatPayloadCodec witness;
+  witness.write = [&dnf](const SatResult& result) {
+    return DnfWitnessPayload(result, dnf);
+  };
+  witness.read = [&dnf](const std::string& payload, SatResult* out) {
+    return DnfWitnessFromPayload(payload, dnf, out);
+  };
+  return RunFacade<SatResult>(
+      {.facade = names::kFacadeFrontendDnfSat,
+       .exec = options.exec,
+       .body = body,
+       .budgets = {{"max_model_nodes", options.max_model_nodes},
+                   {"max_steps", options.max_steps}},
+       .replayable = false},
+      CachedSatCodec(SatMethod::kPuzzlePipeline, kFrontendModule,
+                     std::move(witness)),
+      [&] {
+        // Facade glue only: each sub-pipeline (puzzle construction,
+        // counting, LCTA, ILP, bounded search) runs its own scope, so
+        // kFrontend self time is the per-block orchestration cost.
+        ScopedPhase phase(names::kModFrontendSolver, Phase::kFrontend,
+                          options.exec);
+        return CheckDnfSatisfiabilityImpl(dnf, options);
+      });
 }
 
 }  // namespace fo2dt

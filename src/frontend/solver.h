@@ -14,11 +14,12 @@
 
 #pragma once
 
+#include <functional>
 #include <optional>
 #include <string>
 
 #include "common/execution_context.h"
-#include "common/query_log.h"
+#include "common/flight_recorder.h"
 #include "logic/dnf.h"
 #include "logic/eval.h"
 #include "logic/formula.h"
@@ -115,6 +116,25 @@ struct SolverOptions {
 /// facade-agnostic outcome shape (verdict/method strings, StopReason,
 /// profile). Shared by every facade that reports through the frontend.
 SolveOutcome SolveOutcomeFromSat(const Result<SatResult>& result);
+
+/// A cached SatResult facade's extra result, e.g. its witness: `write`
+/// serializes it into the cache entry's payload, `read` rebuilds it on a hit
+/// and is false on a malformed payload. Unset: no payload is stored, and
+/// only an empty one is accepted.
+struct SatPayloadCodec {
+  std::function<std::string(const SatResult&)> write;
+  std::function<bool(const std::string&, SatResult*)> read;
+};
+
+/// RunFacade codec of a SatResult facade with its own verdict-cache entries
+/// (verdict, method, steps, profile and \p payload). A cold solve is settled
+/// before it is cached: a dead budget (ResourceExhausted) becomes an honest
+/// kUnknown labelled \p degraded_method and carrying the StopReason, and an
+/// OK result takes the governor's profile. Cancellation and errors
+/// propagate.
+FacadeCodec<SatResult> CachedSatCodec(SatMethod degraded_method,
+                                      const char* cache_module,
+                                      SatPayloadCodec payload = {});
 
 }  // namespace fo2dt
 

@@ -314,11 +314,9 @@ struct RootOutcome {
 Status SolveRoot(const Lcta& lcta, const Grammar& g, TreeState root,
                  Symbol root_label, const LctaOptions& options,
                  const IlpOptions& ilp_options, RootOutcome* out) {
-  FO2DT_TRACE_SPAN(names::kSpanLctaSolveRoot);
   // Self time = flow building + cut machinery (the nested ILP solves carry
-  // their own kIlp timers); effort = cut rounds.
-  ScopedPhaseTimer phase_timer(Phase::kLcta, options.exec);
-  ScopedPhaseMemory phase_memory(Phase::kLcta, options.exec);
+  // their own kIlp scopes); effort = cut rounds.
+  ScopedPhase phase(names::kSpanLctaSolveRoot, Phase::kLcta, options.exec);
   // This worker thread's arena scratch (DNF cut scratch, connectivity
   // fixpoints, run-set rows) is billed to this solve's governor while the
   // root is being worked.
@@ -332,7 +330,7 @@ Status SolveRoot(const Lcta& lcta, const Grammar& g, TreeState root,
           .ToDnf(options.max_dnf_branches));
   for (size_t cut_round = 0;; ++cut_round) {
     FO2DT_TRACE_SPAN(names::kSpanLctaCutRound);
-    phase_timer.AddEffort(1);
+    phase.AddEffort(1);
     if (cut_round > options.max_cuts) {
       return Status::ResourceExhausted(
           StringFormat("LCTA emptiness: connectivity cut budget exceeded in "
@@ -466,14 +464,12 @@ bool ParseEmptinessResult(const std::string& text, LctaEmptinessResult* out) {
 /// result from the sub-result memo instead of running this.
 Result<LctaEmptinessResult> CheckLctaEmptinessImpl(const Lcta& lcta,
                                                    const LctaOptions& options) {
-  FO2DT_TRACE_SPAN(names::kModLctaEmptiness);
-  // Facade timer: validation + shared grammar construction. Closed before
-  // the parallel fan-out below — each worker's SolveRoot runs its own kLcta
-  // timer, and an open main-thread timer would bill the join wait to kLcta,
-  // double-counting the workers' time.
-  std::optional<ScopedPhaseTimer> phase_timer;
-  phase_timer.emplace(Phase::kLcta, options.exec);
-  ScopedPhaseMemory phase_memory(Phase::kLcta, options.exec);
+  // Self time = validation + shared grammar construction. The clock stops
+  // before the parallel fan-out below — each worker's SolveRoot runs its own
+  // kLcta scope, and a running main-thread clock would bill the join wait to
+  // kLcta, double-counting the workers' time. Memory stays attributed to
+  // kLcta until return.
+  ScopedPhase phase(names::kModLctaEmptiness, Phase::kLcta, options.exec);
   // Main-thread arena accounting for the shared grammar build; each fan-out
   // worker's SolveRoot installs its own attachment for its thread's arena.
   ScopedArenaAccounting arena_accounting(options.exec, kLctaModule);
@@ -531,7 +527,7 @@ Result<LctaEmptinessResult> CheckLctaEmptinessImpl(const Lcta& lcta,
     return out;
   }
 
-  phase_timer.reset();  // workers time their own SolveRoot calls
+  phase.StopClock();  // workers time their own SolveRoot calls
 
   // Parallel root fan-out, first-nonempty-wins with deterministic selection,
   // coordinated by FirstWinsFanout: its terminal index is the smallest root
@@ -622,8 +618,7 @@ Result<LctaEmptinessResult> CheckLctaEmptiness(const Lcta& lcta,
   // constraint workloads re-derive identical product automata) is the
   // ILP/cut loop, so one memo hit here skips the entire emptiness pipeline.
   const std::string memo_key = LctaEmptinessMemoKey(lcta, options);
-  std::optional<std::string> memo = cache.LookupSub(
-      memo_key, names::kMetricCacheSubHits, names::kMetricCacheSubMisses);
+  std::optional<std::string> memo = cache.LookupSub(memo_key);
   if (memo.has_value()) {
     LctaEmptinessResult served;
     if (ParseEmptinessResult(*memo, &served)) return served;
@@ -693,9 +688,7 @@ std::vector<std::vector<uint32_t>> EnumerateTreeShapes(size_t num_nodes) {
 
 Result<DataTree> FindLctaWitnessBounded(const Lcta& lcta, size_t max_nodes,
                                         const ExecutionContext* exec) {
-  FO2DT_TRACE_SPAN(names::kSpanLctaWitnessBruteforce);
-  ScopedPhaseTimer phase_timer(Phase::kLcta, exec);
-  ScopedPhaseMemory phase_memory(Phase::kLcta, exec);
+  ScopedPhase phase(names::kSpanLctaWitnessBruteforce, Phase::kLcta, exec);
   ExecCheckpoint checkpoint(exec, nullptr, kLctaModule);
   const TreeAutomaton& a = lcta.automaton;
   const size_t num_symbols = a.num_symbols();

@@ -5,7 +5,6 @@
 #include "common/metrics.h"
 #include "common/registry_names.h"
 #include "common/strings.h"
-#include "common/trace.h"
 #include "datatree/zones.h"
 
 namespace fo2dt {
@@ -101,9 +100,7 @@ Result<TypeSet> TypeFromFormulaImpl(const Formula& f, const ExtAlphabet& ext) {
 }  // namespace
 
 Result<TypeSet> TypeFromFormula(const Formula& f, const ExtAlphabet& ext) {
-  FO2DT_TRACE_SPAN(names::kSpanLogicDnfType);
-  ScopedPhaseTimer phase_timer(Phase::kDnf);
-  ScopedPhaseMemory phase_memory(Phase::kDnf);
+  ScopedPhase phase(names::kSpanLogicDnfType, Phase::kDnf);
   return TypeFromFormulaImpl(f, ext);
 }
 

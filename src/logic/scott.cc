@@ -3,7 +3,6 @@
 #include "common/metrics.h"
 #include "common/registry_names.h"
 #include "common/strings.h"
-#include "common/trace.h"
 
 namespace fo2dt {
 
@@ -151,9 +150,7 @@ struct ScottBuilder {
 
 Result<ScottNormalForm> ToScottNormalForm(const Formula& sentence,
                                           PredId num_existing_preds) {
-  FO2DT_TRACE_SPAN(names::kModLogicScott);
-  ScopedPhaseTimer phase_timer(Phase::kScott);
-  ScopedPhaseMemory phase_memory(Phase::kScott);
+  ScopedPhase phase(names::kModLogicScott, Phase::kScott);
   if (!sentence.IsSentence()) {
     return Status::InvalidArgument("Scott normal form requires a sentence");
   }

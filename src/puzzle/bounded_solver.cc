@@ -4,7 +4,6 @@
 
 #include "common/metrics.h"
 #include "common/registry_names.h"
-#include "common/trace.h"
 #include "lcta/lcta.h"
 
 namespace fo2dt {
@@ -127,17 +126,16 @@ class ShapeSearch {
 
 Result<BoundedSolveResult> SolvePuzzleBounded(
     const Puzzle& puzzle, const BoundedSolveOptions& options) {
-  FO2DT_TRACE_SPAN(names::kModPuzzleBounded);
-  ScopedPhaseTimer phase_timer(Phase::kBoundedSearch, options.exec);
-  ScopedPhaseMemory phase_memory(Phase::kBoundedSearch, options.exec);
+  ScopedPhase phase(names::kModPuzzleBounded, Phase::kBoundedSearch,
+                    options.exec);
   BoundedSolveResult out;
   // Flushes the step count as phase effort on every exit path, including
-  // error propagation (destroyed before phase_timer by construction order).
+  // error propagation (destroyed before phase by construction order).
   struct EffortFlush {
-    ScopedPhaseTimer* timer;
+    ScopedPhase* phase;
     const uint64_t* steps;
-    ~EffortFlush() { timer->AddEffort(*steps); }
-  } effort_flush{&phase_timer, &out.steps};
+    ~EffortFlush() { phase->AddEffort(*steps); }
+  } effort_flush{&phase, &out.steps};
   // Letters that can appear at all: non-root symbols are read by their
   // outgoing transition, roots by F; a letter some profiled variant of which
   // occurs nowhere can be skipped entirely.

@@ -8,7 +8,6 @@
 #include "common/metrics.h"
 #include "common/registry_names.h"
 #include "common/strings.h"
-#include "common/trace.h"
 
 namespace fo2dt {
 
@@ -142,11 +141,10 @@ bool ClassTypeValid(const std::vector<int>& tau, const Regions& regions,
 
 Result<CountingResult> CheckPuzzleUnsatByCounting(
     const Puzzle& puzzle, const CountingOptions& options) {
-  FO2DT_TRACE_SPAN(names::kModPuzzleCounting);
   // Self time = region/class-type abstraction building; the LCTA emptiness
-  // call below carries its own kLcta timer.
-  ScopedPhaseTimer phase_timer(Phase::kPuzzle, options.lcta.exec);
-  ScopedPhaseMemory phase_memory(Phase::kPuzzle, options.lcta.exec);
+  // call below carries its own kLcta scope.
+  ScopedPhase phase(names::kModPuzzleCounting, Phase::kPuzzle,
+                    options.lcta.exec);
   CountingResult out;
   // Collect condition types (alpha, beta) with indices.
   std::vector<const TypeSet*> types;

@@ -7,15 +7,12 @@
 #include "common/metrics.h"
 #include "common/registry_names.h"
 #include "common/strings.h"
-#include "common/trace.h"
 #include "datatree/zones.h"
 
 namespace fo2dt {
 
 Result<Puzzle> PuzzleFromBlock(const DnfBlock& block, const ExtAlphabet& ext) {
-  FO2DT_TRACE_SPAN(names::kModPuzzleBuild);
-  ScopedPhaseTimer phase_timer(Phase::kPuzzle);
-  ScopedPhaseMemory phase_memory(Phase::kPuzzle);
+  ScopedPhase phase(names::kModPuzzleBuild, Phase::kPuzzle);
   Puzzle out;
   out.ext = ext;
   const size_t num_profiled = ext.profiled_size();

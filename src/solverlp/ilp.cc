@@ -11,7 +11,6 @@
 #include "common/registry_names.h"
 #include "common/strings.h"
 #include "common/thread_stats.h"
-#include "common/trace.h"
 
 namespace fo2dt {
 
@@ -236,11 +235,9 @@ Result<IlpSolution> FindIntegerPointImpl(const LinearSystem& system,
                                          const IlpOptions& options,
                                          const CancellationToken& token,
                                          size_t* nodes_used) {
-  FO2DT_TRACE_SPAN(names::kModSolverlpIlp);
-  // One timer per DNF-branch solve; covers the nested simplex work too
+  // One phase scope per DNF-branch solve; covers the nested simplex work too
   // (simplex and B&B are one attribution phase). Effort = B&B nodes.
-  ScopedPhaseTimer phase_timer(Phase::kIlp, options.exec);
-  ScopedPhaseMemory phase_memory(Phase::kIlp, options.exec);
+  ScopedPhase phase(names::kModSolverlpIlp, Phase::kIlp, options.exec);
   IlpSolution out;
   LinearSystem base;
   if (Preprocess(system, &base) == PreprocessVerdict::kInfeasible) {
@@ -259,7 +256,7 @@ Result<IlpSolution> FindIntegerPointImpl(const LinearSystem& system,
     st.exec = options.exec;
     auto attempt = RunSearch(base, std::nullopt, &st);
     FlushNodes(st, options, nodes_used);
-    phase_timer.AddEffort(st.nodes);
+    phase.AddEffort(st.nodes);
     if (attempt.ok()) {
       out.nodes_explored = st.nodes;
       out.feasible = attempt->has_value();
@@ -280,7 +277,7 @@ Result<IlpSolution> FindIntegerPointImpl(const LinearSystem& system,
   st.exec = options.exec;
   auto hit = RunSearch(base, bound, &st);
   FlushNodes(st, options, nodes_used);
-  phase_timer.AddEffort(st.nodes);
+  phase.AddEffort(st.nodes);
   if (!hit.ok()) return hit.status();
   out.nodes_explored += st.nodes;
   out.feasible = hit->has_value();

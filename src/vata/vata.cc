@@ -6,9 +6,7 @@
 #include "common/flight_recorder.h"
 #include "common/metrics.h"
 #include "common/registry_names.h"
-#include "common/solve_cache.h"
 #include "common/strings.h"
-#include "common/trace.h"
 #include "datatree/text_io.h"
 #include "lcta/lcta.h"
 
@@ -56,9 +54,7 @@ struct Candidate {
 Result<std::vector<std::vector<Candidate>>> DeriveAll(
     const VataAutomaton& a, const DataTree& t, size_t max_candidates,
     const ExecutionContext* exec) {
-  FO2DT_TRACE_SPAN(names::kModVataDerive);
-  ScopedPhaseTimer phase_timer(Phase::kVata, exec);
-  ScopedPhaseMemory phase_memory(Phase::kVata, exec);
+  ScopedPhase phase(names::kModVataDerive, Phase::kVata, exec);
   if (!IsBinaryTree(t)) {
     return Status::InvalidArgument("VATA runs require a binary tree");
   }
@@ -69,15 +65,15 @@ Result<std::vector<std::vector<Candidate>>> DeriveAll(
   struct CandidateTally {
     const ExecutionContext* exec;
     const size_t* total;
-    ScopedPhaseTimer* timer;
+    ScopedPhase* phase;
     ~CandidateTally() {
       if (exec != nullptr) {
         exec->counters().vata_candidates.fetch_add(*total,
                                                    std::memory_order_relaxed);
       }
-      timer->AddEffort(*total);
+      phase->AddEffort(*total);
     }
-  } tally{exec, &total, &phase_timer};
+  } tally{exec, &total, &phase};
   // Children have larger NodeIds only in creation order... process in
   // post-order to be safe.
   std::vector<NodeId> order;
@@ -216,63 +212,49 @@ std::string SerializeVataProblem(const VataAutomaton& a, const DataTree& t,
 
 Result<bool> VataAccepts(const VataAutomaton& a, const DataTree& t,
                          size_t max_candidates, const ExecutionContext* exec) {
-  SolveRecorder rec(names::kFacadeVataAccepts, exec);
-  SolveCache& cache = SolveCache::Instance();
-  const bool caching = cache.enabled();
-  std::string body;
-  if (rec.active() || caching) {
-    body = SerializeVataProblem(a, t, max_candidates);
-    if (rec.active()) {
-      rec.SetInput(body);
-      rec.SetReplayInput(body);
-      rec.AddBudget("max_candidates", max_candidates);
+  FacadeCodec<bool> codec;
+  codec.outcome = [](const Result<bool>& result) {
+    SolveOutcome outcome;
+    if (result.ok()) {
+      outcome.verdict = *result ? "ACCEPT" : "REJECT";
+      return outcome;
     }
-  }
-  std::string cache_key;
-  if (caching) {
-    cache_key = SolveCacheKey(names::kFacadeVataAccepts, body);
-    std::optional<SolveCacheEntry> hit = cache.Lookup(
-        cache_key, names::kMetricCacheSolveHits, names::kMetricCacheSolveMisses);
-    if (hit.has_value() &&
-        (hit->verdict == "ACCEPT" || hit->verdict == "REJECT")) {
-      Result<bool> served = hit->verdict == "ACCEPT";
-      SolveOutcome outcome;
-      outcome.verdict = hit->verdict;
-      rec.Finish(std::move(outcome));
-      return served;
-    }
-  }
-  Result<bool> result = [&]() -> Result<bool> {
-    FO2DT_ASSIGN_OR_RETURN(std::vector<std::vector<Candidate>> cands,
-                           DeriveAll(a, t, max_candidates, exec));
-    for (const Candidate& c : cands[t.root()]) {
-      if (IsZero(c.vector) &&
-          std::find(a.accepting.begin(), a.accepting.end(), c.state) !=
-              a.accepting.end()) {
-        return true;
-      }
-    }
-    return false;
-  }();
-  SolveOutcome outcome;
-  if (result.ok()) {
-    outcome.verdict = *result ? "ACCEPT" : "REJECT";
-    if (caching) {
-      // Membership verdicts are always definite on success, so every OK
-      // result is cacheable; errors never reach Insert().
-      SolveCacheEntry entry;
-      entry.verdict = outcome.verdict;
-      cache.Insert(cache_key, entry, exec, kVataModule);
-    }
-  } else {
     outcome.verdict =
         std::string("ERROR:") + StatusCodeToString(result.status().code());
     if (const StopReason* reason = result.status().stop_reason()) {
       outcome.stop = *reason;
     }
-  }
-  rec.Finish(std::move(outcome));
-  return result;
+    return outcome;
+  };
+  // Membership verdicts are always definite on success, so every OK result
+  // is cacheable; errors never reach the cache.
+  codec.encode = [](const bool& accepted) {
+    SolveCacheEntry entry;
+    entry.verdict = accepted ? "ACCEPT" : "REJECT";
+    return entry;
+  };
+  codec.decode = [](const SolveCacheEntry& entry, bool* accepted) {
+    *accepted = entry.verdict == "ACCEPT";
+    return *accepted || entry.verdict == "REJECT";
+  };
+  codec.cache_module = kVataModule;
+  return RunFacade<bool>(
+      {.facade = names::kFacadeVataAccepts,
+       .exec = exec,
+       .body = [&] { return SerializeVataProblem(a, t, max_candidates); },
+       .budgets = {{"max_candidates", max_candidates}}},
+      codec, [&]() -> Result<bool> {
+        FO2DT_ASSIGN_OR_RETURN(std::vector<std::vector<Candidate>> cands,
+                               DeriveAll(a, t, max_candidates, exec));
+        for (const Candidate& c : cands[t.root()]) {
+          if (IsZero(c.vector) &&
+              std::find(a.accepting.begin(), a.accepting.end(), c.state) !=
+                  a.accepting.end()) {
+            return true;
+          }
+        }
+        return false;
+      });
 }
 
 Result<std::pair<DataTree, VataRun>> FindVataWitnessBounded(

@@ -10,7 +10,6 @@
 #include "common/metrics.h"
 #include "common/registry_names.h"
 #include "common/strings.h"
-#include "common/trace.h"
 
 namespace fo2dt {
 
@@ -920,87 +919,80 @@ std::string SerializeXPathProblem(const std::vector<const XpPath*>& paths,
   return body;
 }
 
+FacadeRequest XPathFacadeRequest(const char* facade,
+                                 std::vector<const XpPath*> paths,
+                                 const TreeAutomaton* schema,
+                                 const SolverOptions& options) {
+  return {.facade = facade,
+          .exec = options.exec,
+          .body = [paths, schema, &options] {
+            return SerializeXPathProblem(paths, schema, options);
+          },
+          .budgets = {{"max_model_nodes", options.max_model_nodes},
+                      {"max_steps", options.max_steps}}};
+}
+
 }  // namespace
 
 Result<SatResult> CheckXPathSatisfiability(const XpPath& path,
                                            const TreeAutomaton* schema,
                                            const SolverOptions& options) {
-  SolveRecorder rec(names::kFacadeXpathSat, options.exec);
-  if (rec.active()) {
-    std::string body = SerializeXPathProblem({&path}, schema, options);
-    rec.SetInput(body);
-    rec.SetReplayInput(body);
-    rec.AddBudget("max_model_nodes", options.max_model_nodes);
-    rec.AddBudget("max_steps", options.max_steps);
-  }
-  // Translation is charged to kXpath; the solver call at the end times
-  // itself (and attaches the PhaseProfile), so the timer closes first.
-  Result<Formula> query = [&]() -> Result<Formula> {
-    FO2DT_TRACE_SPAN(names::kModXpathTranslate);
-    ScopedPhaseTimer phase_timer(Phase::kXpath, options.exec);
-    ScopedPhaseMemory phase_memory(Phase::kXpath, options.exec);
-    FO2DT_ASSIGN_OR_RETURN(SafetyAssociations assoc, CheckSafety({&path}));
-    FO2DT_ASSIGN_OR_RETURN(Formula selected, TranslateXPathToFo2(path, assoc));
-    size_t num_labels =
-        schema != nullptr
-            ? schema->num_symbols()
-            : static_cast<size_t>(selected.NumSymbolsSpanned()) + 1;
-    return Formula::And(Formula::Exists(Var::kX, std::move(selected)),
-                        ElementValueConsistencyFormula(assoc, num_labels));
-  }();
-  if (!query.ok()) {
-    SolveOutcome outcome;
-    outcome.verdict =
-        std::string("ERROR:") + StatusCodeToString(query.status().code());
-    rec.Finish(std::move(outcome));
-    return query.status();
-  }
-  SolverOptions opt = options;
-  opt.structural_filter = schema;
-  Result<SatResult> result = CheckFo2SatisfiabilityBounded(*query, opt);
-  rec.Finish(SolveOutcomeFromSat(result));
-  return result;
+  return RunFacade<SatResult>(
+      XPathFacadeRequest(names::kFacadeXpathSat, {&path}, schema, options),
+      {.outcome = SolveOutcomeFromSat}, [&]() -> Result<SatResult> {
+        // Translation is charged to kXpath; the solver call at the end times
+        // itself (and attaches the PhaseProfile), so the scope closes first.
+        Result<Formula> query = [&]() -> Result<Formula> {
+          ScopedPhase phase(names::kModXpathTranslate, Phase::kXpath,
+                            options.exec);
+          FO2DT_ASSIGN_OR_RETURN(SafetyAssociations assoc,
+                                 CheckSafety({&path}));
+          FO2DT_ASSIGN_OR_RETURN(Formula selected,
+                                 TranslateXPathToFo2(path, assoc));
+          size_t num_labels =
+              schema != nullptr
+                  ? schema->num_symbols()
+                  : static_cast<size_t>(selected.NumSymbolsSpanned()) + 1;
+          return Formula::And(
+              Formula::Exists(Var::kX, std::move(selected)),
+              ElementValueConsistencyFormula(assoc, num_labels));
+        }();
+        FO2DT_RETURN_NOT_OK(query.status());
+        SolverOptions opt = options;
+        opt.structural_filter = schema;
+        return CheckFo2SatisfiabilityBounded(*query, opt);
+      });
 }
 
 Result<SatResult> CheckXPathContainment(const XpPath& p, const XpPath& q,
                                         const TreeAutomaton* schema,
                                         const SolverOptions& options) {
-  SolveRecorder rec(names::kFacadeXpathContainment, options.exec);
-  if (rec.active()) {
-    std::string body = SerializeXPathProblem({&p, &q}, schema, options);
-    rec.SetInput(body);
-    rec.SetReplayInput(body);
-    rec.AddBudget("max_model_nodes", options.max_model_nodes);
-    rec.AddBudget("max_steps", options.max_steps);
-  }
-  Result<Formula> query = [&]() -> Result<Formula> {
-    FO2DT_TRACE_SPAN(names::kModXpathTranslate);
-    ScopedPhaseTimer phase_timer(Phase::kXpath, options.exec);
-    ScopedPhaseMemory phase_memory(Phase::kXpath, options.exec);
-    FO2DT_ASSIGN_OR_RETURN(SafetyAssociations assoc, CheckSafety({&p, &q}));
-    FO2DT_ASSIGN_OR_RETURN(Formula in_p, TranslateXPathToFo2(p, assoc));
-    FO2DT_ASSIGN_OR_RETURN(Formula in_q, TranslateXPathToFo2(q, assoc));
-    Formula counterexample =
-        Formula::And(std::move(in_p), Formula::Not(std::move(in_q)));
-    size_t num_labels =
-        schema != nullptr
-            ? schema->num_symbols()
-            : static_cast<size_t>(counterexample.NumSymbolsSpanned()) + 1;
-    return Formula::And(Formula::Exists(Var::kX, std::move(counterexample)),
-                        ElementValueConsistencyFormula(assoc, num_labels));
-  }();
-  if (!query.ok()) {
-    SolveOutcome outcome;
-    outcome.verdict =
-        std::string("ERROR:") + StatusCodeToString(query.status().code());
-    rec.Finish(std::move(outcome));
-    return query.status();
-  }
-  SolverOptions opt = options;
-  opt.structural_filter = schema;
-  Result<SatResult> result = CheckFo2SatisfiabilityBounded(*query, opt);
-  rec.Finish(SolveOutcomeFromSat(result));
-  return result;
+  return RunFacade<SatResult>(
+      XPathFacadeRequest(names::kFacadeXpathContainment, {&p, &q}, schema,
+                         options),
+      {.outcome = SolveOutcomeFromSat}, [&]() -> Result<SatResult> {
+        Result<Formula> query = [&]() -> Result<Formula> {
+          ScopedPhase phase(names::kModXpathTranslate, Phase::kXpath,
+                            options.exec);
+          FO2DT_ASSIGN_OR_RETURN(SafetyAssociations assoc,
+                                 CheckSafety({&p, &q}));
+          FO2DT_ASSIGN_OR_RETURN(Formula in_p, TranslateXPathToFo2(p, assoc));
+          FO2DT_ASSIGN_OR_RETURN(Formula in_q, TranslateXPathToFo2(q, assoc));
+          Formula counterexample =
+              Formula::And(std::move(in_p), Formula::Not(std::move(in_q)));
+          size_t num_labels =
+              schema != nullptr
+                  ? schema->num_symbols()
+                  : static_cast<size_t>(counterexample.NumSymbolsSpanned()) + 1;
+          return Formula::And(
+              Formula::Exists(Var::kX, std::move(counterexample)),
+              ElementValueConsistencyFormula(assoc, num_labels));
+        }();
+        FO2DT_RETURN_NOT_OK(query.status());
+        SolverOptions opt = options;
+        opt.structural_filter = schema;
+        return CheckFo2SatisfiabilityBounded(*query, opt);
+      });
 }
 
 }  // namespace fo2dt

@@ -168,8 +168,7 @@ TEST(ConcurrencyStressTest, CacheCountersStayCoherentUnderWorkerPool) {
       for (int i = 0; i < kHammerOps; ++i) {
         const std::string key =
             "stress:" + std::to_string(t) + ":" + std::to_string(i % 100);
-        auto hit = cache.Lookup(key, names::kMetricCacheSolveHits,
-                                names::kMetricCacheSolveMisses);
+        auto hit = cache.Lookup(key);
         hammer_lookups.fetch_add(1, std::memory_order_relaxed);
         if (hit.has_value()) {
           hammer_hits.fetch_add(1, std::memory_order_relaxed);

@@ -1,5 +1,5 @@
 /// \file flight_recorder_test.cc
-/// \brief Flight recorder: JSONL query log across all four facades,
+/// \brief Flight recorder: JSONL query log across all eight facades,
 /// failpoint-forced post-mortem capture, and deterministic replay through
 /// the fo2dt_replay binary.
 
@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +24,7 @@
 #include "common/execution_context.h"
 #include "common/failpoint.h"
 #include "common/registry_names.h"
+#include "common/solve_cache.h"
 #include "constraints/constraints.h"
 #include "datatree/text_io.h"
 #include "frontend/solver.h"
@@ -98,63 +101,351 @@ VataAutomaton OneCounterVata() {
   return a;
 }
 
+/// Value of a top-level numeric field in one JSONL record.
+std::string JsonNumberField(const std::string& line, const std::string& key) {
+  std::string needle = "\"" + key + "\":";
+  size_t at = line.find(needle);
+  if (at == std::string::npos) return "";
+  size_t begin = at + needle.size();
+  size_t end = line.find_first_not_of("0123456789", begin);
+  return line.substr(begin, end - begin);
+}
+
+/// Text of a top-level object field, braces included.
+std::string JsonObjectField(const std::string& line, const std::string& key) {
+  std::string needle = "\"" + key + "\":{";
+  size_t at = line.find(needle);
+  if (at == std::string::npos) return "";
+  size_t begin = at + needle.size() - 1;
+  int depth = 0;
+  for (size_t i = begin; i < line.size(); ++i) {
+    if (line[i] == '{') ++depth;
+    if (line[i] == '}' && --depth == 0) {
+      return line.substr(begin, i - begin + 1);
+    }
+  }
+  return "";
+}
+
+/// Every field of a record that is a function of the input, the budgets and
+/// the thread count: timing, memory and the capture path are left out. The
+/// per-phase effort comes from the record; the per-phase call counts, which
+/// the record does not carry, from the solve's ExecutionContext.
+std::string DeterministicFields(const std::string& line,
+                                const ExecutionContext& exec) {
+  std::string out = JsonStringField(line, "facade");
+  out += " hash=" + JsonStringField(line, "input_hash");
+  out += " size=" + JsonNumberField(line, "input_size");
+  out += " verdict=" + JsonStringField(line, "verdict");
+  out += " method=" + JsonStringField(line, "method");
+  out += " steps=" + JsonNumberField(line, "steps");
+  out += " stop=" + JsonStringField(line, "stop_kind");
+  out += " threads=" + JsonNumberField(line, "threads");
+  out += " budgets=" + JsonObjectField(line, "budgets");
+  out += " effort=";
+  std::string phases = JsonObjectField(line, "phases");
+  static const std::regex kPhaseEffort(
+      "\"(\\w+)\":\\{\"ms\":[0-9.]+,\"effort\":([0-9]+)");
+  for (std::sregex_iterator it(phases.begin(), phases.end(), kPhaseEffort);
+       it != std::sregex_iterator(); ++it) {
+    out += (*it)[1].str() + ":" + (*it)[2].str() + ",";
+  }
+  out += " calls=";
+  PhaseProfile profile = SnapshotPhaseProfile(exec);
+  for (size_t i = 0; i < kPhaseCount; ++i) {
+    if (profile.phases[i].calls == 0) continue;
+    out += std::string(PhaseName(static_cast<Phase>(i))) + ":" +
+           std::to_string(profile.phases[i].calls) + ",";
+  }
+  out += " cache=" + JsonStringField(line, "cache");
+  return out;
+}
+
+DataNormalForm LiveDnf() {
+  ExtAlphabet ext{2, 0};
+  DataNormalForm dnf;
+  dnf.ext = ext;
+  DnfBlock live;
+  SimpleFormula amo;
+  amo.kind = SimpleFormula::Kind::kAtMostOne;
+  TypeSet alpha(ext.size(), 0);
+  alpha[0] = 1;
+  amo.alpha = alpha;
+  live.simples.push_back(amo);
+  dnf.blocks = {live};
+  return dnf;
+}
+
+/// Restores the process-global solve cache no matter how the test exits.
+class CacheGuard {
+ public:
+  explicit CacheGuard(SolveCacheConfig config)
+      : saved_(SolveCache::Instance().config()) {
+    SolveCache::Instance().Configure(std::move(config));
+  }
+  ~CacheGuard() { SolveCache::Instance().Configure(saved_); }
+
+ private:
+  SolveCacheConfig saved_;
+};
+
+using FacadeSolve = std::function<void(const ExecutionContext*)>;
+
+/// Runs \p solve under a fresh ExecutionContext, asserts it appended exactly
+/// one record to \p log, and returns that record's deterministic fields.
+std::string SolveOnce(const std::string& log, const FacadeSolve& solve) {
+  const size_t before = ReadLines(log).size();
+  ExecutionContext exec;
+  solve(&exec);
+  std::vector<std::string> lines = ReadLines(log);
+  EXPECT_EQ(lines.size(), before + 1) << "expected one record per solve";
+  if (lines.size() != before + 1) return "";
+  return DeterministicFields(lines.back(), exec);
+}
+
+/// One solve of each of the eight facades, each under its own governor and
+/// on one thread. The constraint facades share one schema.
+std::vector<FacadeSolve> EightFacadeSolves() {
+  return {
+      [](const ExecutionContext* exec) {
+        Alphabet labels;
+        Formula f = *ParseFormula("exists x. a(x)", &labels);
+        SolverOptions opt;
+        opt.max_model_nodes = 3;
+        opt.exec = exec;
+        auto r = CheckFo2SatisfiabilityBounded(f, opt);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      },
+      [](const ExecutionContext* exec) {
+        SolverOptions opt;
+        opt.max_model_nodes = 3;
+        opt.counting.lcta.num_threads = 1;
+        opt.exec = exec;
+        auto r = CheckDnfSatisfiability(LiveDnf(), opt);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      },
+      [](const ExecutionContext* exec) {
+        // Nested facade: consistency runs through the frontend solver
+        // internally, and must still produce exactly ONE record.
+        ConstraintSet set;
+        set.keys.push_back(UnaryKey{0, 1});
+        SolverOptions opt;
+        opt.max_model_nodes = 3;
+        opt.exec = exec;
+        auto r = CheckConsistencyBounded(TreeAutomaton::Universal(3), set, opt);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      },
+      [](const ExecutionContext* exec) {
+        ConstraintSet premises;
+        premises.keys.push_back(UnaryKey{0, 1});
+        SolverOptions opt;
+        opt.max_model_nodes = 3;
+        opt.exec = exec;
+        auto r = CheckImplicationBounded(TreeAutomaton::Universal(3), premises,
+                                         KeyToFo2(UnaryKey{0, 2}), opt);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      },
+      [](const ExecutionContext* exec) {
+        ConstraintSet set;
+        set.keys.push_back(UnaryKey{0, 1});
+        set.inclusions.push_back(UnaryInclusion{2, 3, 0, 1});
+        LctaOptions opt;
+        opt.num_threads = 1;
+        opt.exec = exec;
+        auto r = CheckKeyForeignKeyConsistencyIlp(TreeAutomaton::Universal(4),
+                                                  set, opt);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      },
+      [](const ExecutionContext* exec) {
+        Alphabet labels;
+        XpPath p = *ParseXPath("/Child::a", &labels);
+        SolverOptions opt;
+        opt.max_model_nodes = 3;
+        opt.exec = exec;
+        auto r = CheckXPathSatisfiability(p, nullptr, opt);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      },
+      [](const ExecutionContext* exec) {
+        Alphabet labels;
+        XpPath p = *ParseXPath("/Child::a[Child::b]", &labels);
+        XpPath q = *ParseXPath("/Child::a", &labels);
+        SolverOptions opt;
+        opt.max_model_nodes = 3;
+        opt.exec = exec;
+        auto r = CheckXPathContainment(p, q, nullptr, opt);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+      },
+      [](const ExecutionContext* exec) {
+        Alphabet alpha;
+        DataTree t = *ParseDataTree("a:0 (leaf:0 leaf:0)", &alpha);
+        auto r = VataAccepts(OneCounterVata(), t, 100000, exec);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_TRUE(*r);
+      },
+  };
+}
+
 TEST(FlightRecorderTest, OneRecordPerSolveAcrossFacades) {
   std::string log = UniquePath("facades") + ".jsonl";
   RecorderGuard guard({log, names::kCaptureModeNever, ""});
 
-  {
-    Alphabet labels;
-    Formula f = *ParseFormula("exists x. a(x)", &labels);
-    SolverOptions opt;
-    opt.max_model_nodes = 3;
-    auto r = CheckFo2SatisfiabilityBounded(f, opt);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  // Pinned on the hand-rolled facades the shared pipeline replaced: every
+  // deterministic field of each facade's record is unchanged by the port.
+  const std::vector<std::string> kPinned = {
+      "frontend.sat hash=4634a528faa95303 size=116 verdict=SAT "
+      "method=bounded_model_search steps=1 stop=none threads=1 "
+      "budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+      "effort=bounded_search:1, calls=bounded_search:1, cache=",
+      "frontend.dnf_sat hash=06fa3f37c7a9dd92 size=127 verdict=SAT "
+      "method=puzzle_pipeline steps=2 stop=none threads=1 "
+      "budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+      "effort=puzzle:0,bounded_search:1,lcta:1,ilp:1,frontend:0, "
+      "calls=puzzle:1,bounded_search:1,lcta:2,ilp:1,frontend:1, cache=",
+      "constraints.consistency hash=dbf43775e1cd4831 size=187 "
+      "verdict=SAT method=bounded_model_search steps=1 stop=none "
+      "threads=1 budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+      "effort=bounded_search:1,constraints:0, "
+      "calls=bounded_search:1,constraints:1, cache=",
+      "constraints.implication hash=74118788a16238c9 size=323 "
+      "verdict=SAT method=bounded_model_search steps=142 stop=none "
+      "threads=1 budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+      "effort=bounded_search:142,constraints:0, "
+      "calls=bounded_search:1,constraints:1, cache=",
+      "constraints.keyfk hash=1d1b2e3eda07c5a9 size=247 verdict=SAT "
+      "method=counting_abstraction steps=1 stop=none threads=1 "
+      "budgets={\"max_ilp_nodes\":200000,\"max_cuts\":200,"
+      "\"max_dnf_branches\":4096} "
+      "effort=lcta:1,ilp:1,constraints:0, "
+      "calls=lcta:2,ilp:1,constraints:1, cache=",
+      "xpath.sat hash=398f4029301375b1 size=77 verdict=SAT "
+      "method=bounded_model_search steps=3 stop=none threads=1 "
+      "budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+      "effort=bounded_search:3,xpath:0, calls=bounded_search:1,xpath:1, "
+      "cache=",
+      "xpath.containment hash=39d029d91edc7d1d size=105 verdict=UNKNOWN "
+      "method=bounded_model_search steps=291 stop=none threads=1 "
+      "budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+      "effort=bounded_search:291,xpath:0, "
+      "calls=bounded_search:1,xpath:1, cache=",
+      "vata.accepts hash=d9fa42a0456b8e95 size=122 verdict=ACCEPT "
+      "method= steps=0 stop=none threads=1 "
+      "budgets={\"max_candidates\":100000} effort=vata:1, calls=vata:1, "
+      "cache=",
+  };
+  std::vector<std::string> got;
+  for (const FacadeSolve& solve : EightFacadeSolves()) {
+    got.push_back(SolveOnce(log, solve));
   }
-  {
-    // Nested facade: consistency runs through the frontend solver
-    // internally, and must still produce exactly ONE record.
-    TreeAutomaton schema = TreeAutomaton::Universal(3);
-    ConstraintSet set;
-    set.keys.push_back(UnaryKey{0, 1});
-    SolverOptions opt;
-    opt.max_model_nodes = 3;
-    auto r = CheckConsistencyBounded(schema, set, opt);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  {
-    Alphabet labels;
-    XpPath p = *ParseXPath("/Child::a", &labels);
-    SolverOptions opt;
-    opt.max_model_nodes = 3;
-    auto r = CheckXPathSatisfiability(p, nullptr, opt);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  {
-    Alphabet alpha;
-    VataAutomaton a = OneCounterVata();
-    DataTree t = *ParseDataTree("a:0 (leaf:0 leaf:0)", &alpha);
-    auto r = VataAccepts(a, t);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_TRUE(*r);
-  }
+  ASSERT_EQ(got.size(), kPinned.size());
+  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], kPinned[i]);
 
   std::vector<std::string> lines = ReadLines(log);
-  ASSERT_EQ(lines.size(), 4u) << "expected one record per facade solve";
-  EXPECT_EQ(JsonStringField(lines[0], "facade"), names::kFacadeFrontendSat);
-  EXPECT_EQ(JsonStringField(lines[1], "facade"),
-            names::kFacadeConstraintsConsistency);
-  EXPECT_EQ(JsonStringField(lines[2], "facade"), names::kFacadeXpathSat);
-  EXPECT_EQ(JsonStringField(lines[3], "facade"), names::kFacadeVataAccepts);
-  for (const std::string& line : lines) {
+  ASSERT_EQ(lines.size(), 8u) << "expected one record per facade solve";
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string& line = lines[i];
+    EXPECT_EQ(JsonStringField(line, "facade"), names::kAllFacades[i]);
     EXPECT_EQ(line.rfind("{\"v\":1,", 0), 0u) << line;
     EXPECT_EQ(line.back(), '}');
     EXPECT_EQ(JsonStringField(line, "input_hash").size(), 16u);
     EXPECT_NE(line.find("\"phases\":{"), std::string::npos);
     EXPECT_NE(line.find("\"budgets\":{"), std::string::npos);
     EXPECT_EQ(JsonStringField(line, "capture"), "");  // mode = never
+    EXPECT_EQ(JsonStringField(line, "cache"), "");    // cache disabled
   }
   EXPECT_EQ(JsonStringField(lines[0], "verdict"), "SAT");
-  EXPECT_EQ(JsonStringField(lines[3], "verdict"), "ACCEPT");
+  EXPECT_EQ(JsonStringField(lines[7], "verdict"), "ACCEPT");
+  std::remove(log.c_str());
+}
+
+TEST(FlightRecorderTest, CachedFacadesRecordMissThenHit) {
+  std::string log = UniquePath("cached") + ".jsonl";
+  RecorderGuard guard({log, names::kCaptureModeNever, ""});
+  SolveCacheConfig config;
+  config.enabled = true;
+  CacheGuard cache_guard(config);
+
+  // frontend.sat, frontend.dnf_sat, constraints.keyfk and vata.accepts key
+  // their own verdict-cache entries: the first solve misses and populates,
+  // the second is served. A hit replays the cold solve's profile, except for
+  // vata.accepts, whose results carry none.
+  const std::vector<std::string> kPinned = {
+      "frontend.sat hash=4634a528faa95303 size=116 verdict=SAT "
+      "method=bounded_model_search steps=1 stop=none threads=1 "
+      "budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+      "effort=bounded_search:1, calls=bounded_search:1, cache=miss",
+      "frontend.sat hash=4634a528faa95303 size=116 verdict=SAT "
+      "method=bounded_model_search steps=1 stop=none threads=1 "
+      "budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+      "effort=bounded_search:1, calls= cache=hit",
+      "frontend.dnf_sat hash=06fa3f37c7a9dd92 size=127 verdict=SAT "
+      "method=puzzle_pipeline steps=2 stop=none threads=1 "
+      "budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+      "effort=puzzle:0,bounded_search:1,lcta:1,ilp:1,frontend:0, "
+      "calls=puzzle:1,bounded_search:1,lcta:2,ilp:1,frontend:1, "
+      "cache=miss",
+      "frontend.dnf_sat hash=06fa3f37c7a9dd92 size=127 verdict=SAT "
+      "method=puzzle_pipeline steps=2 stop=none threads=1 "
+      "budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+      "effort=puzzle:0,bounded_search:1,lcta:1,ilp:1,frontend:0, calls= "
+      "cache=hit",
+      "constraints.keyfk hash=1d1b2e3eda07c5a9 size=247 verdict=SAT "
+      "method=counting_abstraction steps=1 stop=none threads=1 "
+      "budgets={\"max_ilp_nodes\":200000,\"max_cuts\":200,"
+      "\"max_dnf_branches\":4096} "
+      "effort=lcta:1,ilp:1,constraints:0, "
+      "calls=lcta:2,ilp:1,constraints:1, cache=miss",
+      "constraints.keyfk hash=1d1b2e3eda07c5a9 size=247 verdict=SAT "
+      "method=counting_abstraction steps=1 stop=none threads=1 "
+      "budgets={\"max_ilp_nodes\":200000,\"max_cuts\":200,"
+      "\"max_dnf_branches\":4096} "
+      "effort=lcta:1,ilp:1,constraints:0, calls= cache=hit",
+      "vata.accepts hash=d9fa42a0456b8e95 size=122 verdict=ACCEPT "
+      "method= steps=0 stop=none threads=1 "
+      "budgets={\"max_candidates\":100000} effort=vata:1, calls=vata:1, "
+      "cache=miss",
+      "vata.accepts hash=d9fa42a0456b8e95 size=122 verdict=ACCEPT "
+      "method= steps=0 stop=none threads=1 "
+      "budgets={\"max_candidates\":100000} effort= calls= cache=hit",
+  };
+  const std::vector<FacadeSolve> solves = EightFacadeSolves();
+  std::vector<std::string> got;
+  const size_t kCachedFacades[] = {0, 1, 4, 7};
+  for (size_t i : kCachedFacades) {
+    got.push_back(SolveOnce(log, solves[i]));
+    got.push_back(SolveOnce(log, solves[i]));
+  }
+  ASSERT_EQ(got.size(), kPinned.size());
+  for (size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], kPinned[i]);
+  std::remove(log.c_str());
+}
+
+TEST(FlightRecorderTest, FacadeErrorPathsRecordAtMostOnce) {
+  std::string log = UniquePath("errors") + ".jsonl";
+  RecorderGuard guard({log, names::kCaptureModeNever, ""});
+
+  // A translation error inside a facade leaves one ERROR record.
+  EXPECT_EQ(SolveOnce(log, [](const ExecutionContext* exec) {
+              Alphabet labels;
+              XpPath clash = *ParseXPath(
+                  "/Child::a[Self::a/@B1 = Child::a/@B2]", &labels);
+              SolverOptions opt;
+              opt.max_model_nodes = 3;
+              opt.exec = exec;
+              auto r = CheckXPathSatisfiability(clash, nullptr, opt);
+              EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+            }),
+            "xpath.sat hash=e7790932411fcb45 size=107 "
+            "verdict=ERROR:Invalid argument method= steps=0 stop=none "
+            "threads=1 "
+            "budgets={\"max_model_nodes\":3,\"max_steps\":20000000} "
+            "effort=xpath:0, calls=xpath:1, cache=");
+
+  // Argument validation runs before the facade's pipeline: no record.
+  Alphabet labels;
+  Formula open = *ParseFormula("a(x)", &labels);
+  auto r = CheckFo2SatisfiabilityBounded(open, SolverOptions{});
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ReadLines(log).size(), 1u);
   std::remove(log.c_str());
 }
 

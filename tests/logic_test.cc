@@ -423,11 +423,12 @@ TEST(EvalTest, CompiledMatchesDefinitionalSemantics) {
     auto expect_matrix = [&](const char* when) {
       const uint64_t* m = ev.Run();
       const size_t pairs = n <= 12 ? n * n : 60;
+      const int64_t last = static_cast<int64_t>(n) - 1;
       for (size_t k = 0; k < pairs; ++k) {
         const NodeId x = static_cast<NodeId>(
-            n <= 12 ? k / n : static_cast<size_t>(rng.UniformInt(0, n - 1)));
+            n <= 12 ? k / n : static_cast<size_t>(rng.UniformInt(0, last)));
         const NodeId y = static_cast<NodeId>(
-            n <= 12 ? k % n : static_cast<size_t>(rng.UniformInt(0, n - 1)));
+            n <= 12 ? k % n : static_cast<size_t>(rng.UniformInt(0, last)));
         ASSERT_EQ(MatrixBit(m, ev.words(), x, y),
                   Definitional(f, t, preds, x, y))
             << when << ": " << f.ToString(labels) << " at (" << x << ","

@@ -517,7 +517,7 @@ TEST(StopAttributionTest, CutLoopDeadlineAttributesToLcta) {
   // Stall the first cut round well past the deadline; the per-round
   // checkpoint right after the failpoint must then attribute the stop to
   // the cut loop (module "lcta.cuts"), and the stall itself lands in the
-  // kLcta phase timer that wraps SolveRoot.
+  // kLcta phase scope that wraps SolveRoot.
   Failpoints::Instance().Enable("lcta.cut_round", [](void*) {
     std::this_thread::sleep_for(std::chrono::milliseconds(600));
   });

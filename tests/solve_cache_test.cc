@@ -275,8 +275,7 @@ TEST(SolveCacheTest, FingerprintBumpInvalidatesPersistedEntries) {
   config.fingerprint = 2;
   cache.Configure(config);
   EXPECT_FALSE(cache
-                   .Lookup("deadbeefdeadbeef", names::kMetricCacheSolveHits,
-                           names::kMetricCacheSolveMisses)
+                   .Lookup("deadbeefdeadbeef")
                    .has_value());
 
   // ...while the matching fingerprint still does: the file is append-only
@@ -284,8 +283,7 @@ TEST(SolveCacheTest, FingerprintBumpInvalidatesPersistedEntries) {
   config.fingerprint = 1;
   cache.Configure(config);
   std::optional<SolveCacheEntry> hit =
-      cache.Lookup("deadbeefdeadbeef", names::kMetricCacheSolveHits,
-                   names::kMetricCacheSolveMisses);
+      cache.Lookup("deadbeefdeadbeef");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->verdict, "SAT");
   EXPECT_EQ(hit->steps, 7u);
@@ -320,8 +318,7 @@ TEST(SolveCacheTest, ColdLoadIgnoresForeignBuildSections) {
   {
     CacheGuard guard(config);
     EXPECT_FALSE(SolveCache::Instance()
-                     .Lookup("cafef00dcafef00d", names::kMetricCacheSolveHits,
-                             names::kMetricCacheSolveMisses)
+                     .Lookup("cafef00dcafef00d")
                      .has_value())
         << "stale section from a foreign build fingerprint was served";
   }
@@ -329,9 +326,8 @@ TEST(SolveCacheTest, ColdLoadIgnoresForeignBuildSections) {
   config.fingerprint = 1;  // the old build still sees its own section
   {
     CacheGuard guard(config);
-    std::optional<SolveCacheEntry> hit = SolveCache::Instance().Lookup(
-        "cafef00dcafef00d", names::kMetricCacheSolveHits,
-        names::kMetricCacheSolveMisses);
+    std::optional<SolveCacheEntry> hit =
+        SolveCache::Instance().Lookup("cafef00dcafef00d");
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->verdict, "UNSAT");
     EXPECT_EQ(hit->method, "lcta_emptiness");
@@ -353,8 +349,7 @@ TEST(SolveCacheTest, UnknownIsNeverCachedOrServed) {
   cache.Insert("k_error", error, nullptr, names::kModFrontendEnumerate);
   for (const char* key : {"k_unknown", "k_error"}) {
     EXPECT_FALSE(cache
-                     .Lookup(key, names::kMetricCacheSolveHits,
-                             names::kMetricCacheSolveMisses)
+                     .Lookup(key)
                      .has_value());
   }
 
@@ -394,12 +389,10 @@ TEST(SolveCacheTest, LruByteBudgetEvictsOldestEntries) {
   EXPECT_GT(stats.solve_evictions, 0u);
   // LRU: the oldest key is gone, the newest still resident.
   EXPECT_FALSE(cache
-                   .Lookup("key0", names::kMetricCacheSolveHits,
-                           names::kMetricCacheSolveMisses)
+                   .Lookup("key0")
                    .has_value());
   EXPECT_TRUE(cache
-                  .Lookup("key63", names::kMetricCacheSolveHits,
-                          names::kMetricCacheSolveMisses)
+                  .Lookup("key63")
                   .has_value());
 }
 

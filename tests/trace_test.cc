@@ -1,6 +1,6 @@
 /// \file trace_test.cc
 /// \brief Observability layer tests: TraceRecorder/TraceSpan, the per-phase
-/// timers, PhaseProfile snapshots, and the MetricsRegistry federation.
+/// scopes, PhaseProfile snapshots, and the MetricsRegistry federation.
 ///
 /// The span-recording tests only run in builds compiled with FO2DT_TRACE
 /// (the sanitizer presets); release-style builds instead static_assert the
@@ -182,11 +182,11 @@ TEST(PhaseTest, ScopedTimerAttributesSelfTimeExclusively) {
   PhaseStats::Reset();
   constexpr auto kSleep = std::chrono::milliseconds(20);
   {
-    ScopedPhaseTimer outer(Phase::kLcta);
+    ScopedPhase outer("test.outer", Phase::kLcta);
     outer.AddEffort(3);
     std::this_thread::sleep_for(kSleep);
     {
-      ScopedPhaseTimer inner(Phase::kIlp);
+      ScopedPhase inner("test.inner", Phase::kIlp);
       inner.AddEffort(7);
       std::this_thread::sleep_for(kSleep);
     }
@@ -211,16 +211,18 @@ TEST(PhaseTest, ScopedTimerAttributesSelfTimeExclusively) {
 TEST(PhaseTest, TimerFeedsExecutionContextProfile) {
   ExecutionContext exec;
   {
-    ScopedPhaseTimer timer(Phase::kIlp, &exec);
-    timer.AddEffort(5);
+    ScopedPhase phase("test.ilp", Phase::kIlp, &exec);
+    phase.AddEffort(5);
+    // Charged inside the scope: the phase, not the module, owns the bytes.
+    ASSERT_TRUE(exec.ChargeMemory(4096, "test.module").ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   exec.phases().RecordDepth(3);
-  ASSERT_TRUE(exec.ChargeMemory(4096, "test.module").ok());
   PhaseProfile profile = SnapshotPhaseProfile(exec);
   EXPECT_EQ(profile[Phase::kIlp].calls, 1u);
   EXPECT_EQ(profile[Phase::kIlp].effort, 5u);
   EXPECT_GT(profile[Phase::kIlp].wall_ns, 0u);
+  EXPECT_GE(profile[Phase::kIlp].mem_peak, 4096u);
   EXPECT_EQ(profile.ilp_max_depth, 3u);
   EXPECT_GE(profile.mem_high_water, 4096u);
   EXPECT_EQ(profile.DominantPhase(), Phase::kIlp);
@@ -237,7 +239,7 @@ TEST(PhaseTest, TimerFeedsExecutionContextProfile) {
 
 TEST(MetricsRegistryTest, FederatesPhaseArithAndSimplexSources) {
   // A tiny governed ILP solve touches BigInt arithmetic, the simplex core,
-  // and a phase timer — all three families must land in one snapshot.
+  // and a phase scope — all three families must land in one snapshot.
   MetricsRegistry::Instance().Reset();
   LinearExpr e{BigInt(-3)};
   e.AddTerm(0, BigInt(2));

@@ -32,19 +32,11 @@ enforces them:
   no-raw-rand            rand()/srand()/std::random_device/std::mt19937 are
                          banned; all randomness flows through the seeded,
                          thread-confined common/random.h RandomSource.
-  cache-metrics          every solve-cache Lookup/LookupSub call site must
-                         pass registered cache hit and miss metric constants
-                         (names::kMetricCache...), so no cache lookup can
-                         run unobserved by the MetricsRegistry.
   histogram-metrics      every Histogram construction site must name a
                          registered histogram metric constant
                          (names::kMetricHist...); an ad-hoc name makes the
                          series invisible to the registry exposition and to
                          fo2dt_top.
-  timer-memory-scope     every ScopedPhaseTimer construction must open the
-                         matching ScopedPhaseMemory scope for the same phase
-                         nearby, so the flight recorder's per-phase memory
-                         high-water stays in lockstep with the phase timers.
   no-ordered-containers  std::set / std::map (and the multi variants) are
                          banned in the flat-core hot modules (registry
                          ordered_containers.hot_dirs): the solve paths run on
@@ -102,9 +94,7 @@ RULES = (
     "header-hygiene",
     "bench-key-mismatch",
     "no-raw-rand",
-    "cache-metrics",
     "histogram-metrics",
-    "timer-memory-scope",
     "no-ordered-containers",
     "bad-suppression",
     # Deep (--deep) rules; implemented in tools/lint/deep_lint.py.
@@ -446,34 +436,6 @@ class Linter:
                 "thread-confined RandomSource in common/random.h (use "
                 "Split() for per-thread streams)")
 
-    # -- rule: cache-metrics -------------------------------------------------
-
-    CACHE_LOOKUP_RE = re.compile(r"(?:\.|->)\s*(Lookup|LookupSub)\s*\(")
-
-    def check_cache_metrics(self, sf):
-        """Every solve-cache lookup site must pass registered cache hit and
-        miss metric constants (names::kMetricCache...), so the hit/miss
-        disposition of every lookup reaches the MetricsRegistry. The cache
-        implementation itself (which consumes the constants) is exempt."""
-        if sf.path.endswith(os.path.join("common", "solve_cache.cc")) or \
-                sf.path.endswith(os.path.join("common", "solve_cache.h")):
-            return
-        for m in self.CACHE_LOOKUP_RE.finditer(sf.code):
-            line_no = sf.line_of_offset(m.start())
-            args = _matched_parens(sf.code, m.end() - 1)
-            if args is None:
-                continue
-            cache_consts = [
-                c for c in NAMES_CONST_RE.findall(args[0])
-                if self.constants.get(c, ("", ""))[0] == "metric"
-                and self.constants[c][1].startswith("cache.")]
-            if len(cache_consts) < 2:
-                self.report(
-                    sf, line_no, "cache-metrics",
-                    f"cache {m.group(1)}() site does not pass registered hit "
-                    "and miss metric constants (names::kMetricCache...); "
-                    "every cache lookup must record its disposition")
-
     # -- rule: histogram-metrics ---------------------------------------------
 
     # A named Histogram variable/member with its initializer — paren or brace
@@ -505,40 +467,6 @@ class Linter:
                     "Histogram construction site does not name a registered "
                     "histogram metric constant (names::kMetricHist...); an "
                     "unregistered series never reaches the exposition")
-
-    # -- rule: timer-memory-scope --------------------------------------------
-
-    TIMER_DECL_RE = re.compile(r"\bScopedPhaseTimer\s+\w+\s*[({]\s*Phase::(k\w+)")
-    TIMER_EMPLACE_RE = re.compile(r"\b(\w+)\.emplace\s*\(\s*Phase::(k\w+)")
-    OPTIONAL_TIMER_RE = re.compile(r"optional\s*<\s*ScopedPhaseTimer\s*>\s*(\w+)")
-
-    def check_timer_memory_scopes(self, sf):
-        """Every phase timer site must open the matching memory scope within
-        three lines, so PhaseProfile wall time and mem_peak cover the same
-        region. Pointer declarations and emplaces on non-timer optionals are
-        not construction sites and are ignored."""
-        code = sf.code
-        sites = []  # (line_no, phase_constant)
-        for m in self.TIMER_DECL_RE.finditer(code):
-            sites.append((sf.line_of_offset(m.start()), m.group(1)))
-        optional_timers = {m.group(1)
-                           for m in self.OPTIONAL_TIMER_RE.finditer(code)}
-        for m in self.TIMER_EMPLACE_RE.finditer(code):
-            if m.group(1) in optional_timers:
-                sites.append((sf.line_of_offset(m.start()), m.group(2)))
-        code_lines = code.split("\n")
-        for line_no, phase in sites:
-            lo = max(0, line_no - 4)
-            hi = min(len(code_lines), line_no + 3)
-            window = code_lines[lo:hi]
-            if any("ScopedPhaseMemory" in ln and "Phase::" + phase in ln
-                   for ln in window):
-                continue
-            self.report(
-                sf, line_no, "timer-memory-scope",
-                f"ScopedPhaseTimer site for Phase::{phase} opens no matching "
-                f"ScopedPhaseMemory scope within 3 lines; the flight "
-                "recorder's per-phase memory high-water is blind here")
 
     # -- rule: no-ordered-containers -----------------------------------------
 
@@ -789,9 +717,7 @@ def main():
         linter.check_failpoints(sf)
         linter.check_header_hygiene(sf)
         linter.check_raw_rand(sf)
-        linter.check_cache_metrics(sf)
         linter.check_histogram_metrics(sf)
-        linter.check_timer_memory_scopes(sf)
         linter.check_ordered_containers(sf)
     linter.check_bench_contract(bench_main, run_bench)
     if deep is not None:

@@ -102,6 +102,11 @@ def main():
     for rule in rules:
         check(f"[{rule}]" in golden + deep_golden,
               f"fixtures exercise rule '{rule}'")
+    # Rules retire once the API makes their violation unwritable: one
+    # ScopedPhase type times a phase and scopes its memory, and SolveCache
+    # counts its own hits and misses.
+    for rule in ("timer-memory-scope", "cache-metrics"):
+        check(rule not in rules, f"retired rule '{rule}' stays retired")
 
     # 3. The real tree is clean under the full deep gate.
     r = run([PY, LINT, "--root", REPO, "--deep", "--frontend=auto"])
