@@ -12,27 +12,12 @@
 #include <cstdint>
 #include <string>
 
-#include "arith/arith_stats.h"
 #include "bench_main.h"
 #include "constraints/constraints.h"
-#include "solverlp/simplex.h"
 #include "xmlenc/dtd.h"
 
 namespace fo2dt {
 namespace {
-
-// Attaches the solver-core counters (simplex effort, warm-start hit rate,
-// BigInt small-int fast-path rate) accumulated over the timing loop.
-void ReportSolverCounters(benchmark::State& state) {
-  SimplexCounters sx = SimplexStats::Aggregate();
-  ArithCounters ar = ArithStats::Aggregate();
-  double iters = static_cast<double>(std::max<int64_t>(state.iterations(), 1));
-  state.counters["pivots"] = static_cast<double>(sx.pivots) / iters;
-  state.counters["tableau_builds"] =
-      static_cast<double>(sx.tableau_builds) / iters;
-  state.counters["warm_start_hit_rate"] = sx.WarmStartHitRate();
-  state.counters["arith_fast_path_rate"] = ar.FastPathRate();
-}
 
 /// Schema with k entity kinds: root may contain, per kind i, two "src_i" and
 /// one optional "ref_i"; each carries one attribute "k_i". Constraint set:

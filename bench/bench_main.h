@@ -22,10 +22,12 @@
 #include <string>
 #include <vector>
 
+#include "arith/arith_stats.h"
 #include "common/metrics.h"
 #include "common/registry_names.h"
 #include "common/solve_cache.h"
 #include "common/trace.h"
+#include "solverlp/simplex.h"
 
 namespace fo2dt {
 
@@ -44,6 +46,24 @@ inline void ReportPhaseCounters(benchmark::State& state) {
     state.counters[std::string("phase_") + name + "_effort"] =
         static_cast<double>(e.effort) / iters;
   }
+}
+
+/// Attaches the solver-core counters accumulated over the timing loop:
+/// simplex effort, warm-start hit rate, the BigInt small-int fast-path rate
+/// and the results that left int64 (per iteration; the name is a registry
+/// `bench_counters.extras` entry). Reset SimplexStats and ArithStats before
+/// the loop.
+inline void ReportSolverCounters(benchmark::State& state) {
+  SimplexCounters sx = SimplexStats::Aggregate();
+  ArithCounters ar = ArithStats::Aggregate();
+  double iters = static_cast<double>(std::max<int64_t>(state.iterations(), 1));
+  state.counters["pivots"] = static_cast<double>(sx.pivots) / iters;
+  state.counters["tableau_builds"] =
+      static_cast<double>(sx.tableau_builds) / iters;
+  state.counters["warm_start_hit_rate"] = sx.WarmStartHitRate();
+  state.counters["arith_fast_path_rate"] = ar.FastPathRate();
+  state.counters[names::kBenchExtraWideResults] =
+      static_cast<double>(ar.wide_results) / iters;
 }
 
 /// Attaches the solve-cache hit/miss counters accumulated over the timing

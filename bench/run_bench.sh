@@ -145,18 +145,19 @@ for f in BENCH_lcta.json BENCH_constraints.json; do
   fi
 done
 
-# Same for the solve-cache counters and the histogram-derived solve-latency
-# percentiles: the repeated-workload benchmarks must report
-# cache_hits/cache_misses and solve_ms_p50/p95/p99 (names owned by the
-# registry's bench_counters.extras), so the committed history shows hit
-# rates and the latency tail per grid point and fo2dt_report can gate on
-# them.
+# Same for the solve-cache counters, the histogram-derived solve-latency
+# percentiles and the int64 exits of the exact arithmetic: the
+# repeated-workload benchmarks must report cache_hits/cache_misses and
+# solve_ms_p50/p95/p99, and every solver benchmark wide_results (names owned
+# by the registry's bench_counters.extras), so the committed history shows
+# hit rates, the latency tail and coefficient growth per grid point and
+# fo2dt_report can gate on them.
 for f in BENCH_lcta.json BENCH_constraints.json; do
   for counter in cache_hits cache_misses \
-                 solve_ms_p50 solve_ms_p95 solve_ms_p99; do
+                 solve_ms_p50 solve_ms_p95 solve_ms_p99 wide_results; do
     if ! grep -q "\"$counter\"" "$f"; then
-      echo "error: $f has no $counter counter (ReportCacheCounters or" \
-           "ReportSolveLatency missing?)" >&2
+      echo "error: $f has no $counter counter (ReportCacheCounters," \
+           "ReportSolveLatency or ReportSolverCounters missing?)" >&2
       exit 1
     fi
   done

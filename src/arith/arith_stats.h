@@ -3,8 +3,9 @@
 ///
 /// Every BigInt arithmetic operation (+ - * / % gcd compare) records whether
 /// it was served entirely by the inline int64 representation or had to touch
-/// the multi-limb slow path. Benchmarks report the fast-path rate to prove
-/// where solver time goes.
+/// the multi-limb slow path, and every result that leaves int64 is counted.
+/// Benchmarks report the fast-path rate and the wide results to prove where
+/// solver time goes.
 
 #pragma once
 
@@ -19,10 +20,14 @@ struct ArithCounters {
   uint64_t small_ops = 0;
   /// Operations that needed multi-limb (heap) arithmetic.
   uint64_t big_ops = 0;
+  /// Results that left int64, each one a heap-backed value: the coefficient
+  /// growth of exact elimination, 0 while the simplex stays on machine words.
+  uint64_t wide_results = 0;
 
   void AddTo(ArithCounters* out) const {
     out->small_ops += small_ops;
     out->big_ops += big_ops;
+    out->wide_results += wide_results;
   }
   void Clear() { *this = ArithCounters(); }
 

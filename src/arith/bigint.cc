@@ -21,6 +21,8 @@ const MetricsSourceRegistrar kArithMetricsSource(
       snap->Set(names::kMetricArithSmallOps, static_cast<double>(c.small_ops));
       snap->Set(names::kMetricArithBigOps, static_cast<double>(c.big_ops));
       snap->Set(names::kMetricArithFastPathRate, c.FastPathRate());
+      snap->Set(names::kMetricArithWideResults,
+                static_cast<double>(c.wide_results));
     },
     [] { ArithStats::Reset(); });
 
@@ -33,6 +35,7 @@ inline uint64_t Abs64(int64_t v) {
 
 inline void CountSmall() { ++ArithStats::Local().small_ops; }
 inline void CountBig() { ++ArithStats::Local().big_ops; }
+inline void CountWide() { ++ArithStats::Local().wide_results; }
 
 }  // namespace
 
@@ -58,6 +61,7 @@ BigInt BigInt::FromMagU64(bool negative, uint64_t mag) {
     return BigInt(negative ? static_cast<int64_t>(~mag + 1)
                            : static_cast<int64_t>(mag));
   }
+  CountWide();
   BigInt out;
   out.heap_ = std::make_unique<Heap>();
   out.heap_->negative = negative;
@@ -73,9 +77,20 @@ BigInt BigInt::FromMag(bool negative, std::vector<uint32_t> mag) {
     if (mag.size() == 2) u |= static_cast<uint64_t>(mag[1]) << 32;
     return FromMagU64(negative, u);
   }
+  CountWide();
   BigInt out;
   out.heap_ = std::make_unique<Heap>(Heap{negative, std::move(mag)});
   return out;
+}
+
+BigInt BigInt::FromI128(__int128 v) {
+  CountBig();
+  const bool negative = v < 0;
+  unsigned __int128 u = negative ? -static_cast<unsigned __int128>(v)
+                                 : static_cast<unsigned __int128>(v);
+  std::vector<uint32_t> mag;
+  for (; u != 0; u >>= 32) mag.push_back(static_cast<uint32_t>(u));
+  return FromMag(negative, std::move(mag));
 }
 
 void BigInt::TrimMag(std::vector<uint32_t>* m) {
@@ -347,13 +362,19 @@ BigInt BigInt::Abs() const {
   return FromMag(false, heap_->mag);
 }
 
-BigInt BigInt::operator+(const BigInt& o) const {
+#ifdef FO2DT_FAILPOINTS
+bool BigInt::ForceSlowAdd() {
   // Failpoint: steer the addition into the limb (heap) path as if the
   // inline int64 fast path had overflowed; the magnitude arithmetic must
   // produce the identical canonical value.
   bool force_slow = false;
   FO2DT_FAILPOINT(names::kFpBigintForceSlowAdd, &force_slow);
-  if (!force_slow && !heap_ && !o.heap_) {
+  return force_slow;
+}
+#endif
+
+BigInt BigInt::operator+(const BigInt& o) const {
+  if (!ForceSlowAdd() && !heap_ && !o.heap_) {
     int64_t r;
     if (!__builtin_add_overflow(small_, o.small_, &r)) {
       CountSmall();

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "arith/arith_stats.h"
 #include "common/status.h"
 
 namespace fo2dt {
@@ -94,6 +95,24 @@ class BigInt {
   BigInt& operator/=(const BigInt& o) { return *this = *this / o; }
   BigInt& operator%=(const BigInt& o) { return *this = *this % o; }
 
+  /// Fused in-place `*this -= f * b`, the simplex row update. When all three
+  /// fit int64 the product and the difference are formed exactly in
+  /// __int128, so no intermediate is materialized; only heap operands take
+  /// the limb path.
+  BigInt& SubMul(const BigInt& f, const BigInt& b) {
+    if (!heap_ && !f.heap_ && !b.heap_ && !ForceSlowAdd()) {
+      const __int128 r = static_cast<__int128>(small_) -
+                         static_cast<__int128>(f.small_) * b.small_;
+      if (r >= INT64_MIN && r <= INT64_MAX) {
+        small_ = static_cast<int64_t>(r);
+        ++ArithStats::Local().small_ops;
+        return *this;
+      }
+      return *this = FromI128(r);
+    }
+    return *this -= f * b;
+  }
+
   /// Three-way comparison: negative, zero, positive.
   int Compare(const BigInt& o) const {
     if (!heap_ && !o.heap_) {
@@ -141,6 +160,17 @@ class BigInt {
   // inline form when the value fits int64).
   static BigInt FromMag(bool negative, std::vector<uint32_t> mag);
   static BigInt FromMagU64(bool negative, uint64_t mag);
+
+  // The bigint.force_slow_add failpoint steers additions, the fused one
+  // included, off the int64 fast path; always false without failpoints.
+#ifdef FO2DT_FAILPOINTS
+  static bool ForceSlowAdd();
+#else
+  static constexpr bool ForceSlowAdd() { return false; }
+#endif
+  // A value outside int64 (counted as a limb-path op) from an exact
+  // __int128.
+  static BigInt FromI128(__int128 v);
 
   int CompareSlow(const BigInt& o) const;
 

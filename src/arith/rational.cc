@@ -167,23 +167,6 @@ Rational Rational::operator/(const Rational& o) const {
   return Rational(num_ * o.den_, den_ * o.num_);
 }
 
-Rational& Rational::SubMul(const Rational& f, const Rational& b) {
-  if (SmallParts() && f.SmallParts() && b.SmallParts()) {
-    // p/q = f*b unreduced; when both fit int64, x/y - p/q stays within
-    // __int128 (each cross product is below 2^126).
-    const i128 p = static_cast<i128>(f.num_.Small()) * b.num_.Small();
-    const i128 q = static_cast<i128>(f.den_.Small()) * b.den_.Small();
-    if (Fits64(p) && q <= INT64_MAX) {
-      const i128 x = num_.Small();
-      const i128 y = den_.Small();
-      if (y == q ? TryAssign(x - p, y) : TryAssign(x * q - p * y, y * q)) {
-        return *this;
-      }
-    }
-  }
-  return *this -= f * b;
-}
-
 int Rational::Compare(const Rational& o) const {
   if (den_ == o.den_) return num_.Compare(o.num_);
   if (SmallParts() && o.SmallParts()) {

@@ -4,7 +4,7 @@
 /// Invariant: denominator > 0 and gcd(|num|, den) == 1; zero is 0/1.
 ///
 /// 32 bytes (two 16-byte BigInts). When every operand's numerator and
-/// denominator fit int64, + - * /, Compare and SubMul compute in __int128
+/// denominator fit int64, + - * / and Compare compute in __int128
 /// and reduce with one gcd; they fall back to BigInt arithmetic only when a
 /// reduced part leaves int64, so the canonical form is the same either way.
 
@@ -49,8 +49,6 @@ class Rational {
   Rational& operator-=(const Rational& o) { return *this = *this - o; }
   Rational& operator*=(const Rational& o) { return *this = *this * o; }
   Rational& operator/=(const Rational& o) { return *this = *this / o; }
-  /// Fused in-place `*this -= f * b` (the simplex row update).
-  Rational& SubMul(const Rational& f, const Rational& b);
 
   int Compare(const Rational& o) const;
   bool operator==(const Rational& o) const { return Compare(o) == 0; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdint>
 
 #include "common/strings.h"
@@ -106,61 +107,65 @@ class TokenReader {
   size_t token_start_ = 0;
 };
 
+/// Appends a space and the decimal digits of \p v to \p out.
+void AppendNumber(std::string* out, uint64_t v) {
+  char buf[24];
+  buf[0] = ' ';
+  const auto [end, ec] = std::to_chars(buf + 1, buf + sizeof(buf), v);
+  (void)ec;  // 20 digits always fit
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
 }  // namespace
 
 std::string TreeAutomatonToText(const TreeAutomaton& automaton) {
-  std::string out = StringFormat(
-      "automaton %llu %llu\n",
-      static_cast<unsigned long long>(automaton.num_symbols()),
-      static_cast<unsigned long long>(automaton.num_states()));
+  // One reserved string; every number is appended with std::to_chars. The
+  // bytes are the canonical form the solve cache and the query log key on.
+  std::string out;
+  out.reserve(64 + 6 * (automaton.initial().size() +
+                        automaton.non_first().size()) +
+              12 * automaton.accepting().size() +
+              18 * (automaton.horizontal().size() +
+                    automaton.vertical().size()));
+  out += "automaton";
+  AppendNumber(&out, automaton.num_symbols());
+  AppendNumber(&out, automaton.num_states());
 
-  out += StringFormat("initial %llu",
-                      static_cast<unsigned long long>(automaton.initial().size()));
-  for (TreeState q : automaton.initial()) {
-    out += StringFormat(" %u", q);
-  }
-  out += "\n";
+  out += "\ninitial";
+  AppendNumber(&out, automaton.initial().size());
+  for (TreeState q : automaton.initial()) AppendNumber(&out, q);
 
-  out += StringFormat(
-      "nonfirst %llu",
-      static_cast<unsigned long long>(automaton.non_first().size()));
-  for (TreeState q : automaton.non_first()) {
-    out += StringFormat(" %u", q);
-  }
-  out += "\n";
+  out += "\nnonfirst";
+  AppendNumber(&out, automaton.non_first().size());
+  for (TreeState q : automaton.non_first()) AppendNumber(&out, q);
 
-  out += StringFormat(
-      "accepting %llu",
-      static_cast<unsigned long long>(automaton.accepting().size()));
+  out += "\naccepting";
+  AppendNumber(&out, automaton.accepting().size());
   for (const auto& [q, a] : automaton.accepting()) {
-    out += StringFormat(" %u %u", q, a);
+    AppendNumber(&out, q);
+    AppendNumber(&out, a);
   }
-  out += "\n";
 
   // Transitions are stored in insertion order; emit them sorted so textual
   // round-trips of structurally equal automata produce identical bytes — the
   // solve cache and the query log key on the FNV-1a of this text.
-  auto sorted = [](const std::vector<std::tuple<TreeState, Symbol, TreeState>>&
-                       transitions) {
-    std::vector<std::tuple<TreeState, Symbol, TreeState>> ordered = transitions;
-    std::sort(ordered.begin(), ordered.end());
-    return ordered;
-  };
-
-  out += StringFormat(
-      "horizontal %llu",
-      static_cast<unsigned long long>(automaton.horizontal().size()));
-  for (const auto& [from, a, to] : sorted(automaton.horizontal())) {
-    out += StringFormat(" %u %u %u", from, a, to);
-  }
-  out += "\n";
-
-  out += StringFormat(
-      "vertical %llu",
-      static_cast<unsigned long long>(automaton.vertical().size()));
-  for (const auto& [from, a, to] : sorted(automaton.vertical())) {
-    out += StringFormat(" %u %u %u", from, a, to);
-  }
+  auto append_sorted =
+      [&out](const std::vector<std::tuple<TreeState, Symbol, TreeState>>&
+                 transitions) {
+        std::vector<std::tuple<TreeState, Symbol, TreeState>> ordered =
+            transitions;
+        std::sort(ordered.begin(), ordered.end());
+        AppendNumber(&out, ordered.size());
+        for (const auto& [from, a, to] : ordered) {
+          AppendNumber(&out, from);
+          AppendNumber(&out, a);
+          AppendNumber(&out, to);
+        }
+      };
+  out += "\nhorizontal";
+  append_sorted(automaton.horizontal());
+  out += "\nvertical";
+  append_sorted(automaton.vertical());
   out += "\n";
   return out;
 }

@@ -20,8 +20,49 @@ CancellationToken CancellationToken::Child() const {
   return CancellationToken(std::move(state));
 }
 
+ExecutionContext::ExecutionContext(const ExecutionContext* parent)
+    : start_(parent->start_),
+      deadline_(parent->deadline_),
+      budget_ms_(parent->budget_ms_),
+      has_deadline_(parent->has_deadline_),
+      token_(parent->token_),
+      request_id_(parent->request_id_),
+      max_bytes_(parent->max_bytes_),
+      memory_parent_(parent) {}
+
+void ExecutionContext::MergeSlotInto(const ExecutionContext& parent,
+                                     bool counts) const {
+  auto add = [](const std::atomic<uint64_t>& from, std::atomic<uint64_t>* to) {
+    to->fetch_add(from.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+  };
+  add(counters_.deadline_checks, &parent.counters_.deadline_checks);
+  for (size_t i = 0; i < kPhaseCount; ++i) {
+    add(phases_.slots[i].wall_ns, &parent.phases_.slots[i].wall_ns);
+  }
+  if (!counts) return;
+  add(counters_.simplex_pivots, &parent.counters_.simplex_pivots);
+  add(counters_.ilp_nodes, &parent.counters_.ilp_nodes);
+  add(counters_.search_steps, &parent.counters_.search_steps);
+  add(counters_.lcta_cut_rounds, &parent.counters_.lcta_cut_rounds);
+  add(counters_.vata_candidates, &parent.counters_.vata_candidates);
+  for (size_t i = 0; i < kPhaseCount; ++i) {
+    const PhaseAccumulator::Slot& from = phases_.slots[i];
+    PhaseAccumulator::Slot& to = parent.phases_.slots[i];
+    add(from.calls, &to.calls);
+    add(from.effort, &to.effort);
+    PhaseAccumulator::MaxInto(&to.mem_peak,
+                              from.mem_peak.load(std::memory_order_relaxed));
+  }
+  parent.phases_.RecordDepth(
+      phases_.ilp_max_depth.load(std::memory_order_relaxed));
+}
+
 Status ExecutionContext::ChargeMemory(uint64_t bytes,
                                       const char* module) const {
+  if (memory_parent_ != nullptr) {
+    return memory_parent_->ChargeMemory(bytes, module);
+  }
   uint64_t total =
       bytes_charged_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   phases_.RecordMemory(total);  // high-water gauge, budget or not

@@ -135,6 +135,21 @@ class ExecutionContext {
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
+  /// A context for one slot of a first-wins fan-out under \p parent: the
+  /// same deadline, token and request id, and memory charged straight to
+  /// \p parent's accountant (budgets and high-water stay live). Effort
+  /// counters and the phase profile stay here until MergeSlotInto decides
+  /// how much of them the parent sees, so work a fan-out abandons does not
+  /// leak into the solve's effort. \p parent must outlive this context.
+  explicit ExecutionContext(const ExecutionContext* parent);
+
+  /// Adds this slot context's work to \p parent. A slot that \p counts (at
+  /// or below the fan-out's terminal index, which every thread count
+  /// completes) adds everything; any other slot adds only its phase wall
+  /// time and deadline checks: the time was spent, the effort is what a
+  /// single-threaded solve would not have done.
+  void MergeSlotInto(const ExecutionContext& parent, bool counts) const;
+
   /// Arms the wall-clock deadline \p budget from now (steady clock).
   void SetDeadlineAfter(std::chrono::milliseconds budget) {
     start_ = std::chrono::steady_clock::now();
@@ -182,12 +197,14 @@ class ExecutionContext {
 
   /// Peak value ever charged against the memory accountant, in bytes.
   uint64_t MemoryHighWater() const {
+    if (memory_parent_ != nullptr) return memory_parent_->MemoryHighWater();
     return phases_.mem_high_water.load(std::memory_order_relaxed);
   }
 
   /// Running total currently charged against the accountant, in bytes.
   /// Sampled by ScopedPhase to attribute footprints to phases.
   uint64_t BytesCharged() const {
+    if (memory_parent_ != nullptr) return memory_parent_->BytesCharged();
     return bytes_charged_.load(std::memory_order_relaxed);
   }
 
@@ -220,6 +237,8 @@ class ExecutionContext {
   CancellationToken token_;
   std::string request_id_;
   uint64_t max_bytes_ = 0;
+  // Set on a fan-out slot's context: its memory charges go here.
+  const ExecutionContext* memory_parent_ = nullptr;
   // atomic: CAS accounting loop in ChargeMemory, relaxed reads elsewhere;
   // the high-water mark lives in phases_.mem_high_water.
   mutable std::atomic<uint64_t> bytes_charged_{0};

@@ -22,6 +22,7 @@
 ///
 /// Inventory of sites (keep in sync with DESIGN.md §5):
 ///   "bigint.force_slow_add"   bool*   force the limb path in operator+
+///                                     and SubMul
 ///   "simplex.force_rebuild"   bool*   force DualStatus::kCapExceeded
 ///   "ilp.branch"              void    observation/cancel hook per B&B node
 ///   "ilp.worker_fault"        Status* inject an error into a DNF worker

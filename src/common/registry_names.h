@@ -94,7 +94,7 @@ inline constexpr char kSpanLctaWitnessBruteforce[] = "lcta.witness_bruteforce";
 inline constexpr char kSpanSolverlpTableauBuild[] = "solverlp.tableau_build";
 
 // ---- Failpoint sites (FO2DT_FAILPOINT; keep in sync with DESIGN.md) ----
-/// arg: bool* — force the limb path in BigInt operator+
+/// arg: bool* — force the limb path in BigInt operator+ and SubMul
 inline constexpr char kFpBigintForceSlowAdd[] = "bigint.force_slow_add";
 /// arg: bool* — force DualStatus::kCapExceeded during bound repair
 inline constexpr char kFpSimplexForceRebuild[] = "simplex.force_rebuild";
@@ -169,6 +169,8 @@ inline constexpr char kMetricArithSmallOps[] = "arith.small_ops";
 inline constexpr char kMetricArithBigOps[] = "arith.big_ops";
 /// small_ops / (small_ops + big_ops)
 inline constexpr char kMetricArithFastPathRate[] = "arith.fast_path_rate";
+/// BigInt results that left int64 (heap-backed values created)
+inline constexpr char kMetricArithWideResults[] = "arith.wide_results";
 /// total simplex pivots
 inline constexpr char kMetricSimplexPivots[] = "simplex.pivots";
 /// cold tableau builds
@@ -447,12 +449,14 @@ inline constexpr char kBenchExtraCacheMisses[] = "cache_misses";
 inline constexpr char kBenchExtraSolveMsP50[] = "solve_ms_p50";
 inline constexpr char kBenchExtraSolveMsP95[] = "solve_ms_p95";
 inline constexpr char kBenchExtraSolveMsP99[] = "solve_ms_p99";
+inline constexpr char kBenchExtraWideResults[] = "wide_results";
 inline constexpr const char* kAllBenchExtras[] = {
     kBenchExtraCacheHits,
     kBenchExtraCacheMisses,
     kBenchExtraSolveMsP50,
     kBenchExtraSolveMsP95,
     kBenchExtraSolveMsP99,
+    kBenchExtraWideResults,
 };
 inline constexpr std::size_t kNumBenchExtras =
     sizeof(kAllBenchExtras) / sizeof(kAllBenchExtras[0]);

@@ -180,6 +180,10 @@ uint64_t EntryBytes(const std::string& key, const SolveCacheEntry& entry) {
          (entry.profile.has_value() ? sizeof(PhaseProfile) : 0);
 }
 
+uint64_t SubEntryBytes(const std::string& key, const std::string& value) {
+  return kEntryOverheadBytes + key.size() + value.size();
+}
+
 }  // namespace
 
 SolveCache& SolveCache::Instance() {
@@ -374,25 +378,36 @@ void SolveCache::Insert(const std::string& key, const SolveCacheEntry& entry,
   if (fresh) AppendEntryLocked(key, entry);
 }
 
-std::optional<std::string> SolveCache::LookupSub(const std::string& key) {
-  ScopedRankedLock lock(mu_);
-  if (!config_.enabled) return std::nullopt;
-  auto it = sub_.find(key);
-  // Sub-memo traffic never stamps the query-log `cache` field: the field
-  // reports the verdict-level disposition, and a body-memo hit ahead of a
-  // verdict miss must not masquerade as a served solve.
-  if (it == sub_.end()) {
-    ++counts_.sub_misses;
-    return std::nullopt;
+std::optional<std::string> SolveCache::LookupSub(const std::string& key,
+                                                 const ExecutionContext* exec,
+                                                 const char* module) {
+  std::optional<std::string> value;
+  {
+    ScopedRankedLock lock(mu_);
+    if (!config_.enabled) return std::nullopt;
+    auto it = sub_.find(key);
+    // Sub-memo traffic never stamps the query-log `cache` field: the field
+    // reports the verdict-level disposition, and a body-memo hit ahead of a
+    // verdict miss must not masquerade as a served solve.
+    if (it == sub_.end()) {
+      ++counts_.sub_misses;
+      return std::nullopt;
+    }
+    lru_.splice(lru_.end(), lru_, it->second.lru_it);
+    ++counts_.sub_hits;
+    value = it->second.value;
   }
-  lru_.splice(lru_.end(), lru_, it->second.lru_it);
-  ++counts_.sub_hits;
-  return it->second.value;
+  // The charge InsertSub makes, budget or not: a hit over budget still
+  // serves the value, as a miss over budget still returns its result.
+  if (exec != nullptr) {
+    (void)exec->ChargeMemory(SubEntryBytes(key, *value), module);
+  }
+  return value;
 }
 
 void SolveCache::InsertSub(const std::string& key, std::string value,
                            const ExecutionContext* exec, const char* module) {
-  const uint64_t bytes = kEntryOverheadBytes + key.size() + value.size();
+  const uint64_t bytes = SubEntryBytes(key, value);
   if (exec != nullptr && !exec->ChargeMemory(bytes, module).ok()) return;
   ScopedRankedLock lock(mu_);
   if (!config_.enabled) return;

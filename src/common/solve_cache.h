@@ -116,7 +116,12 @@ class SolveCache {
               const ExecutionContext* exec, const char* module);
 
   /// Sub-result memo: same LRU, opaque serialized values, never persisted.
-  std::optional<std::string> LookupSub(const std::string& key);
+  /// A hit charges \p exec the bytes the entry's insertion charged, under
+  /// the same \p module, so a solve's memory fields are the same whether it
+  /// inserted the entry or a concurrent solve did.
+  std::optional<std::string> LookupSub(const std::string& key,
+                                       const ExecutionContext* exec,
+                                       const char* module);
   void InsertSub(const std::string& key, std::string value,
                  const ExecutionContext* exec, const char* module);
 

@@ -326,7 +326,8 @@ Result<SatResult> CheckFo2SatisfiabilityBounded(const Formula& sentence,
         static_cast<unsigned long long>(options.max_model_nodes),
         static_cast<unsigned long long>(options.max_steps),
         options.use_counting_abstraction ? 1 : 0);
-    std::optional<std::string> memo = cache.LookupSub(body_key);
+    std::optional<std::string> memo =
+        cache.LookupSub(body_key, options.exec, kFrontendModule);
     if (memo.has_value()) return std::move(*memo);
     std::string built = build_body(filter_text);
     cache.InsertSub(body_key, built, options.exec, kFrontendModule);

@@ -410,7 +410,7 @@ std::string LctaEmptinessMemoKey(const Lcta& lcta, const LctaOptions& options) {
       static_cast<unsigned long long>(options.max_cuts),
       static_cast<unsigned long long>(options.max_dnf_branches),
       static_cast<unsigned long long>(options.num_threads));
-  key += lcta.constraint.ToString();
+  lcta.constraint.AppendTo(&key);
   key += '\n';
   key += TreeAutomatonToText(lcta.automaton);
   return key;
@@ -537,6 +537,9 @@ Result<LctaEmptinessResult> CheckLctaEmptinessImpl(const Lcta& lcta,
   struct Slot {
     RootOutcome outcome;
     Status error;  // non-OK turns the slot into an error terminal
+    // The root's governor: effort (cut rounds, nodes, pivots, phases) is
+    // held here until the scan below knows whether the slot counts.
+    std::unique_ptr<ExecutionContext> exec;
   };
   std::vector<Slot> slots(roots.size());
   // atomic: work-stealing ticket; relaxed fetch_add hands each root index
@@ -557,10 +560,16 @@ Result<LctaEmptinessResult> CheckLctaEmptinessImpl(const Lcta& lcta,
         slot.outcome.kind = RootOutcome::kAbandoned;
         continue;
       }
+      LctaOptions slot_options = options;
       IlpOptions my_ilp = ilp_options;
+      if (options.exec != nullptr) {
+        slot.exec = std::make_unique<ExecutionContext>(options.exec);
+        slot_options.exec = slot.exec.get();
+        my_ilp.exec = slot.exec.get();
+      }
       my_ilp.cancel_token = fanout.TokenFor(i);
-      Status st = SolveRoot(lcta, g, roots[i].first, roots[i].second, options,
-                            my_ilp, &slot.outcome);
+      Status st = SolveRoot(lcta, g, roots[i].first, roots[i].second,
+                            slot_options, my_ilp, &slot.outcome);
       if (!st.ok()) {
         if (st.IsCancelled()) {
           slot.outcome.kind = RootOutcome::kAbandoned;
@@ -580,12 +589,21 @@ Result<LctaEmptinessResult> CheckLctaEmptinessImpl(const Lcta& lcta,
   for (std::thread& th : pool) th.join();
 
   // All workers are joined: safe to aggregate stats and scan slots.
-  FO2DT_RETURN_NOT_OK(OverallStop(options));
+  // Effort (the result's counters here, the governor's counters and phase
+  // profile through MergeSlotInto) sums only the slots up to the terminal
+  // index: those always complete, so the totals equal what a sequential run
+  // computes. Slots past it ran or not depending on scheduling and must not
+  // count. A stopped check keeps all the effort it spent.
+  const Status stop = OverallStop(options);
+  const size_t counted =
+      stop.ok() ? std::min(fanout.stop_at() + 1, slots.size()) : slots.size();
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].exec != nullptr) {
+      slots[i].exec->MergeSlotInto(*options.exec, i < counted);
+    }
+  }
+  FO2DT_RETURN_NOT_OK(stop);
 
-  // Effort counters sum only the slots up to the terminal index, inside the
-  // ascending scan: those always complete, so the totals equal what a
-  // sequential run computes. Slots past it ran or not depending on
-  // scheduling and must not count.
   for (size_t i = 0; i < slots.size(); ++i) {
     Slot& slot = slots[i];
     if (!slot.error.ok()) return slot.error;
@@ -618,7 +636,8 @@ Result<LctaEmptinessResult> CheckLctaEmptiness(const Lcta& lcta,
   // constraint workloads re-derive identical product automata) is the
   // ILP/cut loop, so one memo hit here skips the entire emptiness pipeline.
   const std::string memo_key = LctaEmptinessMemoKey(lcta, options);
-  std::optional<std::string> memo = cache.LookupSub(memo_key);
+  std::optional<std::string> memo =
+      cache.LookupSub(memo_key, options.exec, kLctaModule);
   if (memo.has_value()) {
     LctaEmptinessResult served;
     if (ParseEmptinessResult(*memo, &served)) return served;

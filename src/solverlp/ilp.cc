@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -41,29 +42,53 @@ BigInt IlpSolver::SmallSolutionBound(const LinearSystem& system,
 
 namespace {
 
-enum class PreprocessVerdict { kOk, kInfeasible };
+/// The gcd of \p expr's coefficients (early exit at 1).
+BigInt CoefficientGcd(const LinearExpr& expr) {
+  BigInt g(0);
+  for (const auto& term : expr.terms()) {
+    g = BigInt::Gcd(g, term.second);
+    if (g.IsOne()) break;
+  }
+  return g;
+}
 
 /// GCD normalization (exact for equalities, Chvátal-Gomory tightening for
-/// inequalities): divides every atom by the gcd of its coefficients; an
-/// equality whose constant is not divisible is integer-infeasible outright.
-PreprocessVerdict Preprocess(const LinearSystem& in, LinearSystem* out) {
+/// inequalities): divides every atom by the gcd of its coefficients and
+/// drops trivially true atoms. Returns null when the system is
+/// integer-infeasible outright (a false constant atom, or an equality whose
+/// constant the gcd does not divide). When no atom changes, which is the
+/// common case (flow systems have unit coefficients), the result aliases
+/// \p in without owning it and must not outlive it.
+std::shared_ptr<const LinearSystem> Preprocess(const LinearSystem& in) {
+  bool unchanged = true;
   for (const LinearAtom& atom : in) {
+    if (atom.expr.terms().empty() || !CoefficientGcd(atom.expr).IsOne()) {
+      unchanged = false;
+      break;
+    }
+  }
+  if (unchanged) {
+    return std::shared_ptr<const LinearSystem>(
+        std::shared_ptr<const LinearSystem>(), &in);
+  }
+  auto out = std::make_shared<LinearSystem>();
+  out->reserve(in.size());
+  for (const LinearAtom& atom : in) {
+    const BigInt& c = atom.expr.constant();
     if (atom.expr.terms().empty()) {
-      const BigInt& c = atom.expr.constant();
       bool holds = atom.rel == LinearRel::kGe ? c >= BigInt(0) : c.IsZero();
-      if (!holds) return PreprocessVerdict::kInfeasible;
+      if (!holds) return nullptr;
       continue;  // trivially true; drop
     }
-    BigInt g(0);
-    for (const auto& [v, coeff] : atom.expr.terms()) {
-      (void)v;
-      g = BigInt::Gcd(g, coeff);
+    const BigInt g = CoefficientGcd(atom.expr);
+    if (g.IsOne()) {
+      out->push_back(atom);
+      continue;
     }
-    const BigInt& c = atom.expr.constant();
     LinearExpr e;
     for (const auto& [v, coeff] : atom.expr.terms()) e.AddTerm(v, coeff / g);
     if (atom.rel == LinearRel::kEq) {
-      if (!(c % g).IsZero()) return PreprocessVerdict::kInfeasible;
+      if (!(c % g).IsZero()) return nullptr;
       e.AddConstant(c / g);
       out->push_back(LinearAtom::Eq(std::move(e)));
     } else {
@@ -73,7 +98,7 @@ PreprocessVerdict Preprocess(const LinearSystem& in, LinearSystem* out) {
       out->push_back(LinearAtom::Ge(std::move(e)));
     }
   }
-  return PreprocessVerdict::kOk;
+  return out;
 }
 
 constexpr const char* kIlpModule = names::kModSolverlpIlp;
@@ -188,8 +213,8 @@ Result<std::optional<IntAssignment>> Branch(IncrementalSimplex tab,
 /// Builds the root tableau (one phase-1 solve for the whole search) and runs
 /// branch-and-bound.
 Result<std::optional<IntAssignment>> RunSearch(
-    const LinearSystem& base, const std::optional<BigInt>& upper_bound,
-    SearchState* st) {
+    const std::shared_ptr<const LinearSystem>& base,
+    const std::optional<BigInt>& upper_bound, SearchState* st) {
   st->ArmGovernor();
   FO2DT_ASSIGN_OR_RETURN(
       IncrementalSimplex root,
@@ -239,8 +264,10 @@ Result<IlpSolution> FindIntegerPointImpl(const LinearSystem& system,
   // (simplex and B&B are one attribution phase). Effort = B&B nodes.
   ScopedPhase phase(names::kModSolverlpIlp, Phase::kIlp, options.exec);
   IlpSolution out;
-  LinearSystem base;
-  if (Preprocess(system, &base) == PreprocessVerdict::kInfeasible) {
+  // Both search phases' tableaux share the normalized system for their
+  // rebuild safety net; none outlives this call.
+  const std::shared_ptr<const LinearSystem> base = Preprocess(system);
+  if (base == nullptr) {
     out.feasible = false;
     return out;
   }
@@ -268,7 +295,7 @@ Result<IlpSolution> FindIntegerPointImpl(const LinearSystem& system,
   }
   std::optional<BigInt> bound;
   if (options.add_small_solution_bound && num_vars > 0) {
-    bound = IlpSolver::SmallSolutionBound(base, num_vars);
+    bound = IlpSolver::SmallSolutionBound(*base, num_vars);
   }
   SearchState st;
   st.num_vars = num_vars;
@@ -352,6 +379,9 @@ Result<DnfSolveResult> IlpSolver::SolveDnf(
     Status error;
     IntAssignment assignment;
     size_t nodes = 0;
+    // The branch's governor: effort is held here until the scan below knows
+    // whether the slot counts.
+    std::unique_ptr<ExecutionContext> exec;
   };
   std::vector<Slot> slots(branches.size());
   // atomic: work-stealing ticket; relaxed fetch_add hands each branch index
@@ -372,8 +402,14 @@ Result<DnfSolveResult> IlpSolver::SolveDnf(
         slot.kind = Slot::kAbandoned;
         continue;
       }
+      IlpOptions slot_options = options;
+      if (options.exec != nullptr) {
+        slot.exec = std::make_unique<ExecutionContext>(options.exec);
+        slot_options.exec = slot.exec.get();
+      }
       Result<IlpSolution> sol = FindIntegerPointImpl(
-          branches[i], num_vars, options, fanout.TokenFor(i), &slot.nodes);
+          branches[i], num_vars, slot_options, fanout.TokenFor(i),
+          &slot.nodes);
       // Failpoint: inject a worker fault after the branch solve (tests
       // prove a failing fan-out task surfaces as a clean error, joined and
       // leak-free, never a hang or a wrong verdict).
@@ -408,12 +444,21 @@ Result<DnfSolveResult> IlpSolver::SolveDnf(
   for (std::thread& th : pool) th.join();
 
   // All workers are joined: safe to aggregate stats and scan slots.
-  FO2DT_RETURN_NOT_OK(OverallStop(options));
+  // Effort (node counts here, the governor's counters and phase profile
+  // through MergeSlotInto) sums only the slots up to the terminal index:
+  // those always complete, so the totals equal what a sequential run
+  // computes. Slots past it ran or not depending on scheduling and must not
+  // count. A stopped solve keeps all the effort it spent.
+  const Status stop = OverallStop(options);
+  const size_t counted =
+      stop.ok() ? std::min(fanout.stop_at() + 1, slots.size()) : slots.size();
+  for (size_t i = 0; i < slots.size(); ++i) {
+    if (slots[i].exec != nullptr) {
+      slots[i].exec->MergeSlotInto(*options.exec, i < counted);
+    }
+  }
+  FO2DT_RETURN_NOT_OK(stop);
 
-  // Node counts sum only the slots up to the terminal index, inside the
-  // ascending scan: those always complete, so the total equals what a
-  // sequential run computes. Slots past it ran or not depending on
-  // scheduling and must not count.
   for (size_t i = 0; i < slots.size(); ++i) {
     Slot& slot = slots[i];
     out.solution.nodes_explored += slot.nodes;

@@ -1,6 +1,7 @@
 #include "solverlp/linear.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "common/registry_names.h"
 #include "common/strings.h"
@@ -108,33 +109,73 @@ Result<Rational> LinearExpr::EvaluateRational(
   return out;
 }
 
-std::string LinearExpr::ToString(const std::vector<std::string>* names) const {
-  std::string out;
+namespace {
+
+void AppendInt64(std::string* out, int64_t v) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  (void)ec;  // 20 characters always fit
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
+// Decimal rendering appended in place: std::to_chars for values that fit
+// int64 (all but the rare wide coefficient).
+void AppendBigInt(std::string* out, const BigInt& v) {
+  if (v.FitsInt64()) {
+    AppendInt64(out, v.Small());
+  } else {
+    *out += v.ToString();
+  }
+}
+
+void AppendVar(std::string* out, VarId v,
+               const std::vector<std::string>* names) {
+  if (names != nullptr && v < names->size()) {
+    *out += (*names)[v];
+  } else {
+    *out += 'v';
+    AppendInt64(out, v);
+  }
+}
+
+}  // namespace
+
+void LinearExpr::AppendTo(std::string* out,
+                          const std::vector<std::string>* names) const {
   bool first = true;
   for (const auto& [v, c] : terms_) {
-    std::string name =
-        names && v < names->size() ? (*names)[v] : StringFormat("v%u", v);
     if (first) {
-      if (c == BigInt(1)) {
-        out += name;
-      } else if (c == BigInt(-1)) {
-        out += "-" + name;
-      } else {
-        out += c.ToString() + "*" + name;
+      if (c == BigInt(-1)) {
+        *out += '-';
+      } else if (!c.IsOne()) {
+        AppendBigInt(out, c);
+        *out += '*';
       }
+      AppendVar(out, v, names);
       first = false;
       continue;
     }
-    BigInt a = c.Abs();
-    out += c.IsNegative() ? " - " : " + ";
-    if (a != BigInt(1)) out += a.ToString() + "*";
-    out += name;
+    *out += c.IsNegative() ? " - " : " + ";
+    const BigInt a = c.Abs();
+    if (!a.IsOne()) {
+      AppendBigInt(out, a);
+      *out += '*';
+    }
+    AppendVar(out, v, names);
   }
-  if (first) return constant_.ToString();
+  if (first) {
+    AppendBigInt(out, constant_);
+    return;
+  }
   if (!constant_.IsZero()) {
-    out += constant_.IsNegative() ? " - " : " + ";
-    out += constant_.Abs().ToString();
+    *out += constant_.IsNegative() ? " - " : " + ";
+    AppendBigInt(out, constant_.Abs());
   }
+}
+
+std::string LinearExpr::ToString(const std::vector<std::string>* names) const {
+  std::string out;
+  AppendTo(&out, names);
   return out;
 }
 
@@ -143,8 +184,16 @@ Result<bool> LinearAtom::Evaluate(const IntAssignment& assignment) const {
   return rel == LinearRel::kGe ? v >= BigInt(0) : v.IsZero();
 }
 
+void LinearAtom::AppendTo(std::string* out,
+                          const std::vector<std::string>* names) const {
+  expr.AppendTo(out, names);
+  *out += rel == LinearRel::kGe ? " >= 0" : " == 0";
+}
+
 std::string LinearAtom::ToString(const std::vector<std::string>* names) const {
-  return expr.ToString(names) + (rel == LinearRel::kGe ? " >= 0" : " == 0");
+  std::string out;
+  AppendTo(&out, names);
+  return out;
 }
 
 LinearConstraint LinearConstraint::True() {
@@ -323,27 +372,44 @@ VarId LinearConstraint::NumVarsSpanned() const {
   }
 }
 
-std::string LinearConstraint::ToString(
-    const std::vector<std::string>* names) const {
+void LinearConstraint::AppendTo(std::string* out,
+                                const std::vector<std::string>* names) const {
   switch (kind()) {
     case Kind::kTrue:
-      return "true";
+      *out += "true";
+      return;
     case Kind::kFalse:
-      return "false";
+      *out += "false";
+      return;
     case Kind::kAtom:
-      return "(" + atom().ToString(names) + ")";
+      *out += '(';
+      atom().AppendTo(out, names);
+      *out += ')';
+      return;
     case Kind::kNot:
-      return "!" + children()[0].ToString(names);
+      *out += '!';
+      children()[0].AppendTo(out, names);
+      return;
     case Kind::kAnd:
     case Kind::kOr: {
-      std::vector<std::string> parts;
-      parts.reserve(children().size());
-      for (const auto& c : children()) parts.push_back(c.ToString(names));
       const char* op = kind() == Kind::kAnd ? " && " : " || ";
-      return "(" + JoinToString(parts, op) + ")";
+      *out += '(';
+      for (size_t i = 0; i < children().size(); ++i) {
+        if (i != 0) *out += op;
+        children()[i].AppendTo(out, names);
+      }
+      *out += ')';
+      return;
     }
   }
-  return "?";
+  *out += '?';
+}
+
+std::string LinearConstraint::ToString(
+    const std::vector<std::string>* names) const {
+  std::string out;
+  AppendTo(&out, names);
+  return out;
 }
 
 }  // namespace fo2dt

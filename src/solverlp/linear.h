@@ -74,6 +74,9 @@ class LinearExpr {
 
   /// Rendering such as "2*x3 - x1 + 5" using v<N> names or \p names.
   std::string ToString(const std::vector<std::string>* names = nullptr) const;
+  /// ToString appended to \p out.
+  void AppendTo(std::string* out,
+                const std::vector<std::string>* names = nullptr) const;
 
  private:
   Terms terms_;  // sorted by VarId, invariant: no zero coefficients
@@ -97,6 +100,8 @@ struct LinearAtom {
   /// Truth value under an integer assignment.
   Result<bool> Evaluate(const IntAssignment& assignment) const;
   std::string ToString(const std::vector<std::string>* names = nullptr) const;
+  void AppendTo(std::string* out,
+                const std::vector<std::string>* names = nullptr) const;
 };
 
 /// \brief A conjunction of atoms (one branch of a DNF).
@@ -145,7 +150,10 @@ class LinearConstraint {
   /// Largest variable id mentioned plus one.
   VarId NumVarsSpanned() const;
 
+  /// e.g. "((v0 >= 0) && !(v1 - 1 == 0))"; built in one string.
   std::string ToString(const std::vector<std::string>* names = nullptr) const;
+  void AppendTo(std::string* out,
+                const std::vector<std::string>* names = nullptr) const;
 
  private:
   struct Node {

@@ -4,10 +4,12 @@
 ///
 /// Solves min c.x subject to a LinearSystem (atoms expr >= 0 / expr == 0)
 /// with the implicit domain x >= 0 for every variable. All arithmetic is
-/// exact (Rational over BigInt) and pivoting uses Bland's rule, so the solver
-/// terminates on every input and never suffers numeric drift — a requirement
-/// for the decision procedures built on top (Theorem 2 emptiness checks must
-/// be exact, not approximate).
+/// exact and pivoting uses Bland's rule, so the solver terminates on every
+/// input and never suffers numeric drift — a requirement for the decision
+/// procedures built on top (Theorem 2 emptiness checks must be exact, not
+/// approximate). Tableau rows are integers over one positive denominator
+/// per row (fraction-free, see IncrementalSimplex); vertices come back as
+/// exact Rationals.
 ///
 /// Two entry points:
 ///  * SimplexSolver — one-shot two-phase primal solve (phase 1 drives
@@ -97,14 +99,21 @@ using SimplexStats = ThreadStats<SimplexCounters>;
 /// changes may be applied (branch-and-bound prunes such nodes immediately).
 class IncrementalSimplex {
  public:
-  /// Runs phase 1 on \p base (implicit x >= 0). The result may be infeasible;
-  /// check feasible(). Statuses are reserved for contract violations and
+  /// Runs phase 1 on \p base (implicit x >= 0), which the tableau keeps
+  /// shared for its rebuild safety net. The result may be infeasible; check
+  /// feasible(). Statuses are reserved for contract violations and
   /// governor stops (deadline/cancellation during phase 1). A non-null
   /// \p exec governs phase 1 and is inherited by the tableau (SetGovernor
   /// can additionally install a per-branch token).
   static Result<IncrementalSimplex> Create(
-      const LinearSystem& base, VarId num_vars,
+      std::shared_ptr<const LinearSystem> base, VarId num_vars,
       const ExecutionContext* exec = nullptr);
+  /// Create over a private copy of \p base.
+  static Result<IncrementalSimplex> Create(
+      const LinearSystem& base, VarId num_vars,
+      const ExecutionContext* exec = nullptr) {
+    return Create(std::make_shared<const LinearSystem>(base), num_vars, exec);
+  }
 
   bool feasible() const { return feasible_; }
   VarId num_vars() const { return num_vars_; }
@@ -142,13 +151,13 @@ class IncrementalSimplex {
   IncrementalSimplex() = default;
 
   static Result<IncrementalSimplex> CreateInternal(
-      const LinearSystem& base, VarId num_vars, const ExecutionContext* exec,
-      CancellationToken token);
+      std::shared_ptr<const LinearSystem> base, VarId num_vars,
+      const ExecutionContext* exec, CancellationToken token);
 
-  /// One nonzero tableau cell.
+  /// One nonzero tableau cell: an integer over its row's denominator.
   struct Cell {
-    size_t col;
-    Rational value;
+    uint32_t col;
+    BigInt value;
   };
   /// A tableau row: its nonzero cells in no particular order, no explicit
   /// zeros. Exact arithmetic makes every visit order give the same values;
@@ -157,20 +166,32 @@ class IncrementalSimplex {
   using SparseRow = std::vector<Cell>;
   static constexpr uint32_t kNoPos = static_cast<uint32_t>(-1);
 
-  /// The cell of \p row at column \p col, which must be nonzero (as the
-  /// column index guarantees for every row it lists).
-  static const Rational& At(const SparseRow& row, size_t col);
-  /// Records in pos_ where each of row \p src's cells sits (Unscatter
-  /// clears it again), so a merge finds its partner cell in O(1).
-  void Scatter(size_t src);
-  void Unscatter(size_t src);
-  /// Replaces row \p i with row_i - f * src, where src is the scattered row
-  /// whose cell at \p cancel_col is 1 and f is row i's cell there, and
-  /// returns f. Matched cells update in place, fill-in is appended, and
-  /// cells that cancel (cancel_col always does) are swapped with the last
-  /// cell and dropped. Fill-in and cancellation are recorded in the column
-  /// index except for cancel_col, whose index list is left to the caller.
-  Rational SubtractScaled(size_t i, size_t src, size_t cancel_col);
+  /// Where column j has a nonzero: the row, and the cell's position in it.
+  struct Entry {
+    uint32_t row;
+    uint32_t pos;
+  };
+
+  /// Row \p row's entry in col_rows_[\p col], which must exist.
+  Entry& FindEntry(size_t col, size_t row);
+  /// Removes row \p i's cell at position \p pos: the last cell moves into
+  /// its place and that cell's index entry follows. The removed cell's own
+  /// index entry is left to the caller.
+  void DropCell(size_t i, uint32_t pos);
+  /// Eliminates \p cancel_col from row \p i with row src, whose cell there
+  /// equals its denominator d: row_i <- d * row_i - f * src (rhs included)
+  /// over denominator d * den_i, where f is row i's cell at cancel_col.
+  /// With d == 1 (unit pivots) nothing is scaled and the update is
+  /// row_i - f * src. \p hit[k] is the position in row i of src's k-th
+  /// cell's column, or kNoPos: matched cells update in place, the others are
+  /// appended as fill-in, and cells that cancel (cancel_col always does) are
+  /// dropped. The column index follows every change except for cancel_col,
+  /// whose index list is left to the caller. The row is gcd-reduced when it
+  /// was scaled or a value left int64.
+  void SubtractScaled(size_t i, size_t src, size_t cancel_col,
+                      const uint32_t* hit);
+  /// Divides row \p i's cells, rhs and denominator by their gcd.
+  void ReduceRow(size_t i);
   /// Recomputes col_rows_ from the rows.
   void RebuildColumnIndex();
 
@@ -184,12 +205,17 @@ class IncrementalSimplex {
   }
   /// Recomputes neg_cost_ from cost_.
   void RebuildNegCost();
+  /// Divides cost_ by the gcd of its entries (signs unchanged).
+  void ReduceCost();
 
   /// Appends an all-zero column; returns its index.
   size_t AddColumn();
   /// Removes row \p i (the trailing rows shift up one index).
   void EraseRow(size_t i);
 
+  /// Makes \p col basic in \p row: the row's cell there becomes its
+  /// denominator (gcd-reduced after a non-unit pivot), and col is eliminated
+  /// from every other row and from the cost row.
   void Pivot(size_t row, size_t col);
   /// Primal simplex on the maintained reduced-cost row (Bland). Returns
   /// false when unbounded; the error state is a governor stop (deadline or
@@ -208,33 +234,45 @@ class IncrementalSimplex {
   void RebuildColToRow();
   size_t DualPivotCap() const;
 
-  // Sparse exact tableau: rows_[i] holds the nonzero cells of row i in no
-  // particular order, over logical width num_cols_. Rows are constraints
-  // sum_j T[i][j] x_j == rhs[i] with basis[i] basic in row i (unit column).
-  // col_rows_[j] lists (unordered) the rows with a nonzero in column j, so a
-  // pivot, the ratio test and a bound tightening visit only those rows. The
-  // flow systems this solves are about 1% dense or less, so the tableau costs
-  // O(nonzeros) to build, copy and destroy instead of O(m * n). Phase-1
-  // artificial variables exist as basis ids only — their columns are never
-  // stored (dropped at birth per Chvatal's rule), so the tableau is
-  // m x (n+s) rather than m x (n+s+m).
+  // Sparse fraction-free tableau: rows_[i] holds the nonzero integer cells
+  // of row i in no particular order, over logical width num_cols_. Row i is
+  // the constraint sum_j rows_[i][j] x_j == rhs_[i], every term over the
+  // positive denominator den_[i]; the basic column basis_[i] holds den_[i]
+  // (a unit column). Positive row scaling preserves every sign and every
+  // ratio rhs_[i] / T[i][j] that Bland's rule reads, so the pivots are
+  // those of the exact rational tableau. Unit pivots on den 1 rows (nearly
+  // all of them on the flow systems) update rows with plain integer
+  // multiply-subtracts on int64 values; a non-unit pivot scales its target
+  // rows and gcd-reduces them. col_rows_[j] lists (unordered) the rows with
+  // a nonzero in column j and where the cell sits in each, so a pivot, the
+  // ratio test and a bound tightening visit only those rows and cells, and a
+  // pivot finds each target's partner cells without scanning the target
+  // row. The flow systems this solves are about 1% dense
+  // or less, so the tableau costs O(nonzeros) to build, copy and destroy
+  // instead of O(m * n). Phase-1 artificial variables exist as basis ids
+  // only — their columns are never stored (dropped at birth per Chvatal's
+  // rule), so the tableau is m x (n+s) rather than m x (n+s+m).
   size_t num_cols_ = 0;
   std::vector<SparseRow> rows_;
-  std::vector<std::vector<size_t>> col_rows_;
-  std::vector<Rational> rhs_;
+  std::vector<std::vector<Entry>> col_rows_;
+  std::vector<BigInt> rhs_;
+  std::vector<BigInt> den_;
   std::vector<size_t> basis_;
   std::vector<size_t> col_to_row_;  // col -> basic row, or kNoRow
-  std::vector<Rational> cost_;      // maintained reduced-cost row (dense)
+  // Maintained reduced-cost row (dense), up to one positive common factor:
+  // only its signs are read, and a pivot scales it as a whole.
+  std::vector<BigInt> cost_;
   // The columns whose cost_ entry is negative: Bland's entering column is
   // its first member, so the primal loop never scans cost_.
   Bitset neg_cost_;
-  // pos_[c] is the index of column c's cell in the row being merged from,
-  // or kNoPos; all kNoPos between pivots.
-  std::vector<uint32_t> pos_;
-  // Per-merge scratch: the (target index, scattered index) pairs of the
-  // cells both rows hold, and which of the scattered row's cells matched.
+  // Per-pivot scratch: the target rows, slot_[i] = row i's index among
+  // them (kNoPos for every other row between pivots), hit_pos_[t * P + k] =
+  // where target t holds the pivot row's k-th cell's column (kNoPos if it
+  // does not), and one target's hits as (position, k) pairs.
+  std::vector<uint32_t> targets_;
+  std::vector<uint32_t> slot_;
+  std::vector<uint32_t> hit_pos_;
   std::vector<std::pair<uint32_t, uint32_t>> hits_;
-  std::vector<char> matched_;
 
   VarId num_vars_ = 0;
   bool feasible_ = false;

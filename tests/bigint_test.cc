@@ -372,6 +372,72 @@ TEST(BigIntTest, CopyMoveAcrossInlineHeapBoundary) {
   EXPECT_EQ(taken.Compare(heap_a), 0);
 }
 
+// An operand biased to the edges of SubMul's __int128 fast path: small
+// values, values near +-2^63 and +-2^62, arbitrary 64-bit values, and
+// heap values just past int64.
+BigInt DrawSubMulOperand(RandomSource* rng) {
+  switch (rng->UniformIndex(5)) {
+    case 0:
+      return BigInt(rng->UniformInt(-40, 40));
+    case 1:
+      return BigInt(rng->Bernoulli(0.5) ? INT64_MAX - rng->UniformInt(0, 3)
+                                        : INT64_MIN + rng->UniformInt(0, 3));
+    case 2: {
+      const int64_t v = (int64_t{1} << 62) - rng->UniformInt(0, 2);
+      return BigInt(rng->Bernoulli(0.5) ? v : -v);
+    }
+    case 3:
+      return BigInt(static_cast<int64_t>(rng->Next()));
+    default: {
+      const BigInt past = BigInt(INT64_MAX) + BigInt(rng->UniformInt(1, 3));
+      return rng->Bernoulli(0.5) ? past : -past - BigInt(1);
+    }
+  }
+}
+
+TEST(BigIntTest, SubMulMatchesReferenceNearInt64Edges) {
+  RandomSource rng(1262);
+  size_t wide = 0;
+  for (int iter = 0; iter < 5000; ++iter) {
+    const BigInt a = DrawSubMulOperand(&rng);
+    const BigInt f = DrawSubMulOperand(&rng);
+    const BigInt b = DrawSubMulOperand(&rng);
+    const BigInt want = a - f * b;
+    BigInt got = a;
+    got.SubMul(f, b);
+    ASSERT_EQ(got.Compare(want), 0)
+        << "iter " << iter << ": " << a << " - " << f << " * " << b;
+    ASSERT_EQ(got.ToString(), want.ToString());
+    // Canonical: inline exactly when the value fits int64.
+    ASSERT_EQ(got.FitsInt64(), want.ToInt64().ok());
+    if (!got.FitsInt64()) ++wide;
+  }
+  EXPECT_GT(wide, 1000u);  // the draws really left int64
+  // Results exactly at the int64 edges, and one step past them.
+  struct Edge {
+    int64_t a, f, b;
+    bool fits;
+  };
+  for (const Edge& e : std::vector<Edge>{
+           {INT64_MAX - 6, -2, 3, true},
+           {INT64_MAX - 5, -2, 3, false},
+           {INT64_MIN + 6, 2, 3, true},
+           {INT64_MIN + 5, 2, 3, false},
+           {0, INT64_MIN, 1, false},
+           {-1, INT64_MIN, -1, false},
+           {INT64_MIN, INT64_MIN, 1, true},
+       }) {
+    const BigInt want = BigInt(e.a) - BigInt(e.f) * BigInt(e.b);
+    ArithStats::Reset();
+    BigInt got(e.a);
+    got.SubMul(BigInt(e.f), BigInt(e.b));
+    EXPECT_EQ(got.Compare(want), 0) << want;
+    EXPECT_EQ(got.FitsInt64(), e.fits) << want;
+    EXPECT_EQ(ArithStats::Aggregate().wide_results, e.fits ? 0u : 1u)
+        << want;
+  }
+}
+
 TEST(ArithStatsTest, FastPathCountersMove) {
   // Small-only arithmetic must register as small_ops (fast-path rate 1.0
   // because work happened on the inline representation, not because the

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "automata/automaton_io.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "datatree/generator.h"
 #include "datatree/text_io.h"
 #include "logic/eval.h"
+#include "solverlp/linear.h"
 #include "solverlp/simplex.h"
 #include "xmlenc/dtd.h"
 
@@ -273,6 +276,58 @@ TEST(ConstraintsTest, KeyfkIlpEffortIsPinned) {
     EXPECT_EQ(simplex.tableau_builds, c.tableau_builds);
     EXPECT_EQ(r->steps, c.ilp_nodes);
   }
+}
+
+
+// The canonical texts that key the verdict cache, the LCTA emptiness memo
+// and the query log's input_hash: one keyfk schema automaton and its
+// cardinality constraint (built as the keyfk facade builds it), plus the
+// coefficient and constant forms the flow systems and DNF negations
+// produce. Any byte that moves here invalidates persisted cache files.
+TEST(ConstraintsTest, KeyfkCanonicalTextIsPinned) {
+  const KeyfkInstance inst =
+      BuildKeyfkInstance({{2, 1, true, true}, {1, 1, false, false}});
+  const std::string automaton = TreeAutomatonToText(inst.schema);
+  const VarId q = static_cast<VarId>(inst.schema.num_states());
+  std::vector<LinearConstraint> parts;
+  for (const UnaryInclusion& inc : inst.set.inclusions) {
+    LinearExpr n_from = LinearExpr::Variable(q + inc.from_element);
+    LinearExpr n_to = LinearExpr::Variable(q + inc.to_element);
+    parts.push_back(LinearConstraint::Ge(n_to - n_from));
+    LinearExpr n_to_pos = n_to;
+    n_to_pos.AddConstant(BigInt(-1));
+    parts.push_back(LinearConstraint::Or(LinearConstraint::Eq(n_from),
+                                         LinearConstraint::Ge(n_to_pos)));
+  }
+  LinearExpr wide;
+  wide.AddTerm(0, *BigInt::FromString("-123456789012345678901234567890"));
+  wide.AddTerm(3, BigInt(7));
+  wide.AddTerm(4, BigInt(-1));
+  wide.AddTerm(9, BigInt(INT64_MIN));
+  wide.AddConstant(BigInt(-42));
+  parts.push_back(LinearConstraint::Not(LinearConstraint::Ge(wide)));
+  parts.push_back(LinearConstraint::Eq(LinearExpr(BigInt(5))));
+  const LinearConstraint constraint = LinearConstraint::And(std::move(parts));
+  const std::vector<std::string> names = {"a", "b"};
+  // The automaton text is 9.6 kB: pin its opening lines and a hash of the
+  // whole.
+  EXPECT_EQ(automaton.substr(0, automaton.find("nonfirst")),
+            "automaton 7 141\n"
+            "initial 40 0 1 7 8 14 15 21 22 28 29 35 36 42 43 49 50 56 57 63 64"
+            " 70 71 77 78 84 85 91 92 98 99 105 106 112 113 119 120 126 127 133"
+            " 134\n");
+  EXPECT_NE(automaton.find("\naccepting 1 140 0\nhorizontal 980 0 3 7 0 3 8 "),
+            std::string::npos);
+  EXPECT_EQ(automaton.size(), 9602u);
+  EXPECT_EQ(Fnv1a64(automaton), 12585333604773594407ULL);
+  EXPECT_EQ(constraint.ToString(),
+            "((-v142 + v143 >= 0) && ((v142 == 0) || (v143 - 1 >= 0)) && "
+            "(-v145 + v146 >= 0) && ((v145 == 0) || (v146 - 1 >= 0)) && "
+            "!(-123456789012345678901234567890*v0 + 7*v3 - v4 - "
+            "9223372036854775808*v9 - 42 >= 0) && (5 == 0))");
+  EXPECT_EQ(wide.ToString(&names),
+            "-123456789012345678901234567890*a + 7*v3 - v4 - "
+            "9223372036854775808*v9 - 42");
 }
 
 }  // namespace

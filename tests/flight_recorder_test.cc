@@ -419,6 +419,58 @@ TEST(FlightRecorderTest, CachedFacadesRecordMissThenHit) {
   std::remove(log.c_str());
 }
 
+// A frontend.sat body-memo hit charges the governor what the miss that
+// inserted the entry charged, so a record's memory fields do not depend on
+// which of two concurrent requests inserted first. An UNKNOWN verdict is
+// never verdict-cached, so the second solve runs again behind a body-memo
+// hit.
+TEST(FlightRecorderTest, BodyMemoHitChargesTheMissBytes) {
+  std::string log = UniquePath("memo_mem") + ".jsonl";
+  RecorderGuard guard({log, names::kCaptureModeNever, ""});
+  SolveCacheConfig config;
+  config.enabled = true;
+  CacheGuard cache_guard(config);
+  auto solve = [] {
+    ExecutionContext exec;
+    Alphabet labels;
+    Formula f = *ParseFormula("exists x. exists y. (a(x) & b(y))", &labels);
+    SolverOptions opt;
+    opt.max_model_nodes = 1;  // needs two nodes: bound exhausts, kUnknown
+    opt.exec = &exec;
+    auto r = CheckFo2SatisfiabilityBounded(f, opt);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->verdict, SatVerdict::kUnknown);
+  };
+  const SolveCache::Stats before = SolveCache::Instance().stats();
+  solve();
+  solve();
+  const SolveCache::Stats after = SolveCache::Instance().stats();
+  EXPECT_EQ(after.sub_hits, before.sub_hits + 1);
+  const std::vector<std::string> lines = ReadLines(log);
+  ASSERT_EQ(lines.size(), 2u);
+  const std::string miss_water = JsonNumberField(lines[0], "mem_high_water");
+  EXPECT_NE(miss_water, "0");
+  EXPECT_EQ(JsonNumberField(lines[1], "mem_high_water"), miss_water);
+  const std::string miss_phases = JsonObjectField(lines[0], "phases");
+  const std::string hit_phases = JsonObjectField(lines[1], "phases");
+  const std::regex mem_peak("\"mem_peak\":[0-9]+");
+  std::vector<std::string> miss_peaks;
+  std::vector<std::string> hit_peaks;
+  for (auto it = std::sregex_iterator(miss_phases.begin(), miss_phases.end(),
+                                      mem_peak);
+       it != std::sregex_iterator(); ++it) {
+    miss_peaks.push_back(it->str());
+  }
+  for (auto it = std::sregex_iterator(hit_phases.begin(), hit_phases.end(),
+                                      mem_peak);
+       it != std::sregex_iterator(); ++it) {
+    hit_peaks.push_back(it->str());
+  }
+  EXPECT_FALSE(miss_peaks.empty());
+  EXPECT_EQ(hit_peaks, miss_peaks);
+  std::remove(log.c_str());
+}
+
 TEST(FlightRecorderTest, FacadeErrorPathsRecordAtMostOnce) {
   std::string log = UniquePath("errors") + ".jsonl";
   RecorderGuard guard({log, names::kCaptureModeNever, ""});

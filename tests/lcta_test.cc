@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/execution_context.h"
+#include "common/metrics.h"
 #include "common/random.h"
 
 namespace fo2dt {
@@ -264,10 +266,28 @@ TEST(LctaTest, DifferentialRandomized200) {
   EXPECT_GT(agreements_empty, 20u);
 }
 
+// The governor's effort under one solve: counters, then per phase the
+// calls and effort, then the deepest branch-and-bound node.
+std::vector<uint64_t> GovernorEffort(const ExecutionContext& exec) {
+  std::vector<uint64_t> out = {
+      exec.counters().simplex_pivots.load(),
+      exec.counters().ilp_nodes.load(),
+      exec.counters().lcta_cut_rounds.load(),
+  };
+  const PhaseProfile profile = SnapshotPhaseProfile(exec);
+  for (const PhaseProfile::Entry& e : profile.phases) {
+    out.push_back(e.calls);
+    out.push_back(e.effort);
+  }
+  out.push_back(profile.ilp_max_depth);
+  return out;
+}
+
 TEST(LctaTest, DeterministicAcrossThreadCounts) {
   // Verdict, witness state counts and the effort counters must be identical
   // with 1, 2, and 8 threads (first-qualifying-root / first-SAT-branch
-  // selection; effort sums only the roots up to the winning one). The
+  // selection; effort sums only the roots up to the winning one), both in
+  // the result and in the governor's counters and phase profile. The
   // thread counts are explicit, so a 1-CPU host still runs the race.
   RandomSource rng(424242);
   size_t nonempty_checked = 0;
@@ -304,9 +324,12 @@ TEST(LctaTest, DeterministicAcrossThreadCounts) {
     IntAssignment ref_counts;
     size_t ref_ilp_nodes = 0;
     size_t ref_cuts = 0;
+    std::vector<uint64_t> ref_effort;
     for (size_t threads : {1u, 2u, 8u}) {
+      ExecutionContext exec;
       LctaOptions opt;
       opt.num_threads = threads;
+      opt.exec = &exec;
       auto r = CheckLctaEmptiness(lcta, opt);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       if (threads == 1) {
@@ -314,8 +337,12 @@ TEST(LctaTest, DeterministicAcrossThreadCounts) {
         ref_counts = r->state_counts;
         ref_ilp_nodes = r->ilp_nodes;
         ref_cuts = r->connectivity_cuts;
+        ref_effort = GovernorEffort(exec);
+        EXPECT_EQ(exec.counters().ilp_nodes.load(), ref_ilp_nodes);
         if (!ref_empty) ++nonempty_checked;
       } else {
+        EXPECT_EQ(GovernorEffort(exec), ref_effort)
+            << "iter " << iter << " threads " << threads;
         EXPECT_EQ(r->ilp_nodes, ref_ilp_nodes)
             << "iter " << iter << " threads " << threads;
         EXPECT_EQ(r->connectivity_cuts, ref_cuts)

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "arith/arith_stats.h"
+#include "common/execution_context.h"
+#include "common/metrics.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "solverlp/ilp.h"
@@ -561,6 +564,213 @@ TEST(IncrementalSimplexTest, BlandChoicesUseSmallestColumnNotStorageOrder) {
   }
 }
 
+// Seeded systems whose coefficients sit near +-2^62 next to small non-unit
+// ones, so pivots are non-unit and products leave int64 in the first few
+// pivots: the tableau runs on its wide path mid-phase. Each walk builds the
+// tableau, then tightens three bounds; every step reports its pivot count and
+// exact vertex.
+std::vector<std::string> WideCoefficientWalks(uint64_t seed, int iters) {
+  constexpr int64_t kNear62 = int64_t{1} << 62;
+  RandomSource rng(seed);
+  auto draw = [&rng](bool allow_zero) -> int64_t {
+    switch (rng.UniformIndex(allow_zero ? 5 : 4)) {
+      case 0:
+        return kNear62 - rng.UniformInt(0, 999);
+      case 1:
+        return -(kNear62 - rng.UniformInt(0, 999));
+      case 2:
+        return rng.UniformInt(2, 7);
+      case 3:
+        return -rng.UniformInt(2, 7);
+      default:
+        return 0;
+    }
+  };
+  std::vector<std::string> out;
+  for (int iter = 0; iter < iters; ++iter) {
+    const VarId n = 4;
+    LinearSystem base;
+    for (size_t i = 0; i < 4; ++i) {
+      LinearExpr e;
+      for (VarId v = 0; v < n; ++v) e.AddTerm(v, BigInt(draw(true)));
+      e.AddConstant(BigInt(draw(false)));
+      base.push_back(i == 0 ? LinearAtom::Eq(std::move(e))
+                            : LinearAtom::Ge(std::move(e)));
+    }
+    auto describe = [&out](const IncrementalSimplex& inc) {
+      std::string line =
+          StringFormat("%llu", static_cast<unsigned long long>(
+                                   SimplexStats::Aggregate().pivots));
+      if (!inc.feasible()) {
+        line += " infeasible";
+      } else {
+        for (const Rational& r : inc.Assignment()) line += " " + r.ToString();
+      }
+      out.push_back(std::move(line));
+    };
+    SimplexStats::Reset();
+    auto inc = IncrementalSimplex::Create(base, n);
+    EXPECT_TRUE(inc.ok());
+    if (!inc.ok()) return out;
+    describe(*inc);
+    for (int step = 0; step < 3 && inc->feasible(); ++step) {
+      const VarId v = static_cast<VarId>(rng.UniformIndex(n));
+      const bool upper = rng.Bernoulli(0.7);
+      const BigInt value(upper ? rng.UniformInt(0, 1) : rng.UniformInt(1, 3));
+      Status st = upper ? inc->SetUpperBound(v, value)
+                        : inc->SetLowerBound(v, value);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      describe(*inc);
+    }
+  }
+  return out;
+}
+
+// The pins were recorded with the former Rational-cell tableau: the integer
+// rows must reproduce every pivot count and every exact vertex, and the
+// walks must really leave int64.
+TEST(IncrementalSimplexTest, WideCoefficientsKeepPivotsAndVertices) {
+  ArithStats::Reset();
+  const std::vector<std::string> want = {
+      "4 21267647932558649471604273670591624227/64563604257983419898 0"
+      " 63802943797675948507046541380322304273/96845406386975129847"
+      " 63802943797675950609975365783211149213/96845406386975129847",
+      "4 21267647932558649471604273670591624227/64563604257983419898 0"
+      " 63802943797675948507046541380322304273/96845406386975129847"
+      " 63802943797675950609975365783211149213/96845406386975129847",
+      "5 infeasible",
+      "5 4611686018427387369/2305843009213693876 0 0 2",
+      "6 21267647932558648229523506040815339765/6917529027641081628 0 2"
+      " 9223372036854774388/3",
+      "6 21267647932558648229523506040815339765/6917529027641081628 0 2"
+      " 9223372036854774388/3",
+      "6 infeasible",
+      "6 59951918239556032167/55340232221128644988"
+      " 127605887595351878120015465263639977871/110680464442257289976 0"
+      " 53169119831396616693074980595392039279/27670116110564322494",
+      "9 0 0 4611686018427387214/4611686018427387439 0",
+      "9 infeasible",
+      "4 0"
+      " 5316911983139662466668010645634450495/122599643269271065973864537"
+      "56053142076038240954750521764"
+      " 3987683987354746846254013094253587107/612998216346355329869322687"
+      "8026571038019120477375260882"
+      " 1329227995784915307972269802925380683/612998216346355329869322687"
+      "8026571038019120477375260882",
+      "4 0"
+      " 5316911983139662466668010645634450495/122599643269271065973864537"
+      "56053142076038240954750521764"
+      " 3987683987354746846254013094253587107/612998216346355329869322687"
+      "8026571038019120477375260882"
+      " 1329227995784915307972269802925380683/612998216346355329869322687"
+      "8026571038019120477375260882",
+      "4 0"
+      " 5316911983139662466668010645634450495/122599643269271065973864537"
+      "56053142076038240954750521764"
+      " 3987683987354746846254013094253587107/612998216346355329869322687"
+      "8026571038019120477375260882"
+      " 1329227995784915307972269802925380683/612998216346355329869322687"
+      "8026571038019120477375260882",
+      "6 infeasible",
+      "4"
+      " 490398573077084224295097699817922836733563805791778538233/8827174"
+      "31538751660103203469712212516486203323233732986886"
+      " 16910295623347732909959293944427875860194492012028521509/30438532"
+      "122025919313903567921110776430558735283921827134"
+      " 233944127258145133886677673882533840714/4413587157693758300516017"
+      "34856106258243101661616866493443"
+      " 882717431538751625245528508248587334162879648881786204499/8827174"
+      "31538751660103203469712212516486203323233732986886",
+      "4"
+      " 490398573077084224295097699817922836733563805791778538233/8827174"
+      "31538751660103203469712212516486203323233732986886"
+      " 16910295623347732909959293944427875860194492012028521509/30438532"
+      "122025919313903567921110776430558735283921827134"
+      " 233944127258145133886677673882533840714/4413587157693758300516017"
+      "34856106258243101661616866493443"
+      " 882717431538751625245528508248587334162879648881786204499/8827174"
+      "31538751660103203469712212516486203323233732986886",
+      "5"
+      " 106338239662793230725207128558181712385/1914088313930278320642398"
+      "22369851390843"
+      " 106338239662793244809296228835421570929/1914088313930278320642398"
+      "22369851390843"
+      " 101457092405402515502/191408831393027832064239822369851390843 1",
+      "5 infeasible",
+      "4"
+      " 7544593431955142047036440738955148562277664290165303926/114518104"
+      "25223887838117887647936704967"
+      " 85070591730234586609307550954595628836/14887353552791054189553253"
+      "9423177164571"
+      " 98079714615416849269929721176248113652202652837755354551/14887353"
+      "5527910541895532539423177164571 0",
+      "4"
+      " 7544593431955142047036440738955148562277664290165303926/114518104"
+      "25223887838117887647936704967"
+      " 85070591730234586609307550954595628836/14887353552791054189553253"
+      "9423177164571"
+      " 98079714615416849269929721176248113652202652837755354551/14887353"
+      "5527910541895532539423177164571 0",
+      "4"
+      " 7544593431955142047036440738955148562277664290165303926/114518104"
+      "25223887838117887647936704967"
+      " 85070591730234586609307550954595628836/14887353552791054189553253"
+      "9423177164571"
+      " 98079714615416849269929721176248113652202652837755354551/14887353"
+      "5527910541895532539423177164571 0",
+      "5 infeasible",
+      "5 2305843009213693758/5 0 1/2 0",
+      "6 0 0 1/2 0",
+      "7 0 3 2 0",
+      "7 infeasible",
+      "4 infeasible",
+      "4"
+      " 41119349871206017563153825046419330144272274826126214834809340260"
+      "991754361/41119349871206020429756393124284312775598385545033099393"
+      "503083872465065506"
+      " 45231284858326621977429473628858030157808093666257864812171628344"
+      "8600878615/4523128485832662247273203243671274405315822409953640933"
+      "28533922597115720566"
+      " 90462569716653235314036089639490971116069698829507366314714542008"
+      "6676520583/9046256971665324494546406487342548810631644819907281866"
+      "57067845194231441132"
+      " 26506042874816403035740652156278920162417124222835571004619/22615"
+      "642429163311236366016218356372026579112049768204666426696129855786"
+      "0283",
+      "4"
+      " 41119349871206017563153825046419330144272274826126214834809340260"
+      "991754361/41119349871206020429756393124284312775598385545033099393"
+      "503083872465065506"
+      " 45231284858326621977429473628858030157808093666257864812171628344"
+      "8600878615/4523128485832662247273203243671274405315822409953640933"
+      "28533922597115720566"
+      " 90462569716653235314036089639490971116069698829507366314714542008"
+      "6676520583/9046256971665324494546406487342548810631644819907281866"
+      "57067845194231441132"
+      " 26506042874816403035740652156278920162417124222835571004619/22615"
+      "642429163311236366016218356372026579112049768204666426696129855786"
+      "0283",
+      "4"
+      " 41119349871206017563153825046419330144272274826126214834809340260"
+      "991754361/41119349871206020429756393124284312775598385545033099393"
+      "503083872465065506"
+      " 45231284858326621977429473628858030157808093666257864812171628344"
+      "8600878615/4523128485832662247273203243671274405315822409953640933"
+      "28533922597115720566"
+      " 90462569716653235314036089639490971116069698829507366314714542008"
+      "6676520583/9046256971665324494546406487342548810631644819907281866"
+      "57067845194231441132"
+      " 26506042874816403035740652156278920162417124222835571004619/22615"
+      "642429163311236366016218356372026579112049768204666426696129855786"
+      "0283",
+      "5 infeasible",
+      "4 0 0 32281802128991715131/23058430092136938345 7/5",
+      "4 infeasible",
+  };
+  EXPECT_EQ(WideCoefficientWalks(6262, 10), want);
+  EXPECT_GT(ArithStats::Aggregate().wide_results, 0u);
+}
+
 // A Parikh-image flow system shaped like the LCTA emptiness checks: a
 // layered graph (width 12, 24 layers, every node feeding two successors)
 // with one conservation equality per node, a unit of throughput, and parity
@@ -646,6 +856,21 @@ TEST(SimplexStatsTest, PivotSequenceIsPinned) {
   EXPECT_EQ(ilp.warm_start_hits, 12u);
 }
 
+// The flow system of PivotSequenceIsPinned never leaves int64: every pivot
+// runs on the inline fast path of the integer rows.
+TEST(SimplexStatsTest, FlowSystemStaysInInt64) {
+  VarId n = 0;
+  const LinearSystem flow = FlowShapedSystem(&n);
+  ArithStats::Reset();
+  auto r = IlpSolver::FindIntegerPoint(flow, n);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(r->feasible);
+  const ArithCounters arith = ArithStats::Aggregate();
+  EXPECT_EQ(arith.wide_results, 0u);
+  EXPECT_EQ(arith.big_ops, 0u);
+  EXPECT_GT(arith.small_ops, 0u);
+}
+
 TEST(IlpTest, SolveDnfDeterministicAcrossThreadCounts) {
   // A disjunction whose branches have distinct witnesses: the selected
   // branch (and thus the witness) and the node count must not depend on the
@@ -663,12 +888,25 @@ TEST(IlpTest, SolveDnfDeterministicAcrossThreadCounts) {
                    LinearAtom::Ge(MakeExpr({1, 0}, -2))});  // x0<=-1 && x0>=2
   branches.insert(branches.begin(), {LinearAtom::Eq(MakeExpr({0, 0}, 1))});
 
+  // The governor's effort: pivots, nodes, the ILP phase's calls and effort
+  // and the deepest node.
+  auto governor_effort = [](const ExecutionContext& exec) {
+    const PhaseProfile profile = SnapshotPhaseProfile(exec);
+    return std::vector<uint64_t>{exec.counters().simplex_pivots.load(),
+                                 exec.counters().ilp_nodes.load(),
+                                 profile[Phase::kIlp].calls,
+                                 profile[Phase::kIlp].effort,
+                                 profile.ilp_max_depth};
+  };
   IntAssignment expected;
   std::vector<BranchOutcome> expected_outcomes;
   size_t expected_nodes = 0;
+  std::vector<uint64_t> expected_effort;
   for (size_t threads : {1u, 2u, 8u}) {
+    ExecutionContext exec;
     IlpOptions opt;
     opt.num_threads = threads;
+    opt.exec = &exec;
     auto r = IlpSolver::SolveDnf(branches, 2, opt);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(r->solution.feasible);
@@ -676,6 +914,10 @@ TEST(IlpTest, SolveDnfDeterministicAcrossThreadCounts) {
       expected = r->solution.assignment;
       expected_outcomes = r->outcomes;
       expected_nodes = r->solution.nodes_explored;
+      expected_effort = governor_effort(exec);
+      // Branches 0-2 each open one ILP phase; 1 and 2 pivot.
+      EXPECT_EQ(expected_effort[2], 3u);
+      EXPECT_GT(expected_effort[0], 0u);
       // Branch 0 fails preprocessing; branches 1 and 2 take one node each.
       EXPECT_EQ(expected_nodes, 2u);
       EXPECT_EQ(expected[0].ToString(), "5");  // first feasible branch: k=5
@@ -691,6 +933,8 @@ TEST(IlpTest, SolveDnfDeterministicAcrossThreadCounts) {
       }
       EXPECT_EQ(r->outcomes, expected_outcomes) << "threads " << threads;
       EXPECT_EQ(r->solution.nodes_explored, expected_nodes)
+          << "threads " << threads;
+      EXPECT_EQ(governor_effort(exec), expected_effort)
           << "threads " << threads;
     }
   }
