@@ -192,4 +192,4 @@ BENCHMARK(BM_KeyfkRepeatedWorkloadWarm)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace fo2dt
 
-FO2DT_BENCH_MAIN();
+BENCHMARK_MAIN();

@@ -166,4 +166,4 @@ BENCHMARK(BM_RepeatedWorkloadWarm);
 }  // namespace
 }  // namespace fo2dt
 
-FO2DT_BENCH_MAIN();
+BENCHMARK_MAIN();

@@ -1,14 +1,6 @@
-// Shared benchmark entry point. Replaces BENCHMARK_MAIN() so the bench
-// binaries accept one extra flag the google-benchmark flag parser would
-// otherwise reject:
-//
-//   --trace-json=<path>   after the run, dump the observability state
-//                         (MetricsRegistry snapshot + recorded trace spans
-//                         in Chrome trace-event form) as JSON to <path>.
-//
-// Span recording only happens when the build compiled the fine-grained
-// spans in (FO2DT_TRACE); in release builds the file still carries the
-// metrics snapshot and an empty traceEvents list.
+// Shared benchmark counter helpers: per-phase, solver-core, solve-cache and
+// latency counters attached to a google-benchmark State after its timing
+// loop, under the names the registry's bench counter grammar fixes.
 
 #pragma once
 
@@ -17,16 +9,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
-#include <vector>
 
 #include "arith/arith_stats.h"
 #include "common/metrics.h"
 #include "common/registry_names.h"
 #include "common/solve_cache.h"
-#include "common/trace.h"
 #include "solverlp/simplex.h"
 
 namespace fo2dt {
@@ -107,65 +95,5 @@ inline uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-namespace bench_internal {
-
-inline bool WriteObservabilityJson(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  MetricsSnapshot snap = MetricsRegistry::Instance().Snapshot();
-  std::vector<TraceEvent> events = TraceRecorder::Instance().Snapshot();
-  std::fprintf(f, "{\n\"metrics\": %s,\n\"traceEvents\": [", snap.ToJson().c_str());
-  for (size_t i = 0; i < events.size(); ++i) {
-    const TraceEvent& e = events[i];
-    std::fprintf(
-        f,
-        "%s\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%u,"
-        "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"id\":%llu,\"parent\":%llu}}",
-        i == 0 ? "" : ",", e.name, e.thread,
-        static_cast<double>(e.start_ns) / 1e3,
-        static_cast<double>(e.end_ns - e.start_ns) / 1e3,
-        static_cast<unsigned long long>(e.id),
-        static_cast<unsigned long long>(e.parent));
-  }
-  std::fprintf(f, "\n],\n\"dropped\": %llu\n}\n",
-               static_cast<unsigned long long>(
-                   TraceRecorder::Instance().dropped()));
-  std::fclose(f);
-  return true;
-}
-
-inline int BenchMain(int argc, char** argv) {
-  constexpr char kTraceFlag[] = "--trace-json=";
-  std::string trace_path;
-  std::vector<char*> args;
-  args.reserve(static_cast<size_t>(argc));
-  for (int i = 0; i < argc; ++i) {
-    if (std::strncmp(argv[i], kTraceFlag, sizeof(kTraceFlag) - 1) == 0) {
-      trace_path = argv[i] + (sizeof(kTraceFlag) - 1);
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
-  if (!trace_path.empty()) TraceRecorder::Instance().SetEnabled(true);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  if (!trace_path.empty() &&
-      !bench_internal::WriteObservabilityJson(trace_path)) {
-    std::fprintf(stderr, "error: cannot write trace JSON to %s\n",
-                 trace_path.c_str());
-    return 1;
-  }
-  return 0;
-}
-
-}  // namespace bench_internal
 }  // namespace fo2dt
-
-#define FO2DT_BENCH_MAIN()                       \
-  int main(int argc, char** argv) {              \
-    return ::fo2dt::bench_internal::BenchMain(argc, argv); \
-  }
 

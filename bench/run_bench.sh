@@ -8,8 +8,7 @@
 #
 # The lcta and constraints reports also carry per-phase breakdowns
 # (phase_<name>_ms / phase_<name>_effort counters) from the observability
-# layer; the raw span/metrics dump of each of those runs goes to
-# <build-dir>/bench/TRACE_*.json and is not committed.
+# layer.
 #
 # Usage: bench/run_bench.sh [build-dir]    (default: ./build)
 set -euo pipefail
@@ -84,17 +83,15 @@ run_guarded() {
 FO2DT_QUERY_LOG="$(query_log_for lcta)" \
 run_guarded BENCH_lcta.json "$BUILD_DIR/bench/bench_lcta_emptiness" \
   --benchmark_min_time="$MIN_TIME" \
-  --benchmark_format=json \
-  --trace-json="$BUILD_DIR/bench/TRACE_lcta.json"
+  --benchmark_format=json
 
 FO2DT_QUERY_LOG="$(query_log_for constraints)" \
 run_guarded BENCH_constraints.json "$BUILD_DIR/bench/bench_constraints" \
   --benchmark_min_time="$MIN_TIME" \
-  --benchmark_format=json \
-  --trace-json="$BUILD_DIR/bench/TRACE_constraints.json"
+  --benchmark_format=json
 
-# The TH1/TH3 binaries use the stock benchmark main: no --trace-json and no
-# phase counters, so the phase and cache checks below do not apply to them.
+# The TH1/TH3 binaries attach no phase counters, so the phase and cache
+# checks below do not apply to them.
 FO2DT_QUERY_LOG="$(query_log_for satisfiability)" \
 run_guarded BENCH_satisfiability.json "$BUILD_DIR/bench/bench_satisfiability" \
   --benchmark_min_time="$MIN_TIME" \

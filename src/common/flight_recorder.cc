@@ -12,7 +12,6 @@
 #include "common/failpoint.h"
 #include "common/registry_names.h"
 #include "common/strings.h"
-#include "common/trace.h"
 
 namespace fo2dt {
 
@@ -195,8 +194,8 @@ void SolveRecorder::Finish(SolveOutcome outcome) {
   bool degraded = record_.outcome.verdict == "UNKNOWN" ||
                   record_.outcome.verdict.rfind("ERROR:", 0) == 0;
   // Tail sampling: a definite verdict that took longer than the configured
-  // slow threshold is as capture-worthy as a degraded one — the bundle's
-  // trace.json is the explanation of the latency tail.
+  // slow threshold is as capture-worthy as a degraded one — the record's
+  // per-phase profile is the explanation of the latency tail.
   bool slow = config.slow_ms > 0 && record_.wall_ms >= config.slow_ms;
   bool capture =
       !replay_input_.empty() &&
@@ -255,8 +254,6 @@ std::string SolveRecorder::WriteBundle(const QueryRecord& record,
   // record's capture field points at whatever was written.
   (void)WriteTextFile(dir + "/" + names::kBundleFileManifestJson, manifest);
   (void)WriteTextFile(dir + "/" + names::kBundleFileInputFo2dt, input);
-  (void)TraceRecorder::Instance().WriteJson(dir + "/" +
-                                            names::kBundleFileTraceJson);
   (void)WriteTextFile(
       dir + "/" + names::kBundleFileMetricsJson,
       MetricsRegistry::Instance().Snapshot().ToJson() + "\n");

@@ -14,7 +14,6 @@
 ///   manifest.json   the query-log record plus bundle metadata
 ///   input.fo2dt     line-based replay input: header, facade body, armed
 ///                   failpoints, and `expect` lines with the recorded outcome
-///   trace.json      trace-ring export (Chrome JSON, open spans included)
 ///   metrics.json    MetricsRegistry snapshot at capture time
 ///
 /// Configuration: `FO2DT_QUERY_LOG=<path>` enables recording;
@@ -60,8 +59,9 @@ struct FlightRecorderConfig {
   std::string capture_dir;
   /// Tail-sampling threshold (`FO2DT_SLOW_MS`): under capture mode
   /// `degraded`, a solve whose wall time reaches this many ms is bundled —
-  /// trace ring included — even when its verdict was definite, so the
-  /// flight recorder explains the latency tail, not a random sample.
+  /// its per-phase profile and metrics snapshot included — even when its
+  /// verdict was definite, so the flight recorder explains the latency
+  /// tail, not a random sample.
   /// 0 disables slow-solve sampling (degraded/ERROR solves still capture).
   uint64_t slow_ms = 0;
 };

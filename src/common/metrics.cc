@@ -59,9 +59,8 @@ bool ScopedPhase::CurrentPhase(Phase* out) {
   return true;
 }
 
-ScopedPhase::ScopedPhase(const char* span, Phase phase,
-                         const ExecutionContext* exec)
-    : span_(span), phase_(phase), exec_(exec), parent_(ThreadCurrentPhase()) {
+ScopedPhase::ScopedPhase(Phase phase, const ExecutionContext* exec)
+    : phase_(phase), exec_(exec), parent_(ThreadCurrentPhase()) {
   auto now = std::chrono::steady_clock::now();
   if (ScopedPhase* enclosing = Clocked(parent_)) {
     // Pause the enclosing clock: bank its running stretch as self time.

@@ -12,7 +12,7 @@
 ///     attributed to the phase that exhausted the budget.
 ///
 ///  2. **ScopedPhase** — always-compiled attribution of one phase's self
-///     time, effort, memory high-water and trace span. Each scope writes two
+///     time, effort and memory high-water. Each scope writes two
 ///     sinks: the thread-local PhaseStats block (process-wide aggregation
 ///     for benchmarks, via ThreadStats) and, when given one, the
 ///     ExecutionContext's PhaseAccumulator (per-solve aggregation across
@@ -38,7 +38,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_stats.h"
-#include "common/trace.h"
 
 namespace fo2dt {
 
@@ -143,8 +142,7 @@ struct PhaseAccumulator {
   }
 };
 
-/// \brief RAII attribution of one phase: trace span \p span (compiled out
-/// of optimized builds, common/trace.h), self time, effort and memory
+/// \brief RAII attribution of one phase: self time, effort and memory
 /// high-water. The overhead budget is a handful of clock reads per *phase
 /// entry*, never per work unit — hot loops only flush effort counters.
 ///
@@ -158,8 +156,7 @@ struct PhaseAccumulator {
 /// null ExecutionContext the memory half is inert.
 class ScopedPhase {
  public:
-  ScopedPhase(const char* span, Phase phase,
-              const ExecutionContext* exec = nullptr);
+  explicit ScopedPhase(Phase phase, const ExecutionContext* exec = nullptr);
   ~ScopedPhase();
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
@@ -181,7 +178,6 @@ class ScopedPhase {
   /// \p scope or its nearest ancestor whose clock still runs.
   static ScopedPhase* Clocked(ScopedPhase* scope);
 
-  TraceSpan span_;
   Phase phase_;
   const ExecutionContext* exec_;
   ScopedPhase* parent_;
@@ -197,16 +193,7 @@ class ScopedPhase {
 /// solve's worker threads; on a parallel solve they can exceed elapsed wall
 /// clock. `stop` is the structured reason if the solve degraded or was cut
 /// short (kind == kNone for a definite verdict).
-struct PhaseProfile {
-  struct Entry {
-    uint64_t calls = 0;
-    uint64_t wall_ns = 0;
-    uint64_t effort = 0;
-    uint64_t mem_peak = 0;
-  };
-  std::array<Entry, kPhaseCount> phases;
-  uint64_t ilp_max_depth = 0;
-  uint64_t mem_high_water = 0;
+struct PhaseProfile : PhaseCounters {
   StopReason stop;
 
   const Entry& operator[](Phase p) const {

@@ -5,10 +5,10 @@
 /// — DO NOT EDIT BY HAND. Edit the JSON and re-run the generator; the
 /// registry_names_up_to_date ctest fails when this file drifts.
 ///
-/// fo2dt_lint enforces that governor module strings, trace span names,
-/// and failpoint sites in src/** reference these constants instead of
-/// inline string literals, so a renamed phase or module cannot silently
-/// break StopReason attribution or the bench counter contract.
+/// fo2dt_lint enforces that governor module strings and failpoint sites
+/// in src/** reference these constants instead of inline string
+/// literals, so a renamed phase or module cannot silently break
+/// StopReason attribution or the bench counter contract.
 
 #pragma once
 
@@ -22,12 +22,6 @@ namespace names {
 inline constexpr char kModFrontendSolver[] = "frontend.solver";
 /// bounded model enumeration driven from the facade (phase: bounded_search)
 inline constexpr char kModFrontendEnumerate[] = "frontend.enumerate";
-/// Scott normal form rewriting (phase: scott)
-inline constexpr char kModLogicScott[] = "logic.scott";
-/// data normal form construction (phase: dnf)
-inline constexpr char kModLogicDnf[] = "logic.dnf";
-/// puzzle construction from a DNF (phase: puzzle)
-inline constexpr char kModPuzzleBuild[] = "puzzle.build";
 /// Lemma-3 counting abstraction setup (phase: puzzle)
 inline constexpr char kModPuzzleCounting[] = "puzzle.counting";
 /// puzzle bounded model search (phase: bounded_search)
@@ -44,25 +38,16 @@ inline constexpr char kModSolverlpSimplex[] = "solverlp.simplex";
 inline constexpr char kModSolverlpLinear[] = "solverlp.linear";
 /// VATA counter-tree derivation search (phase: vata)
 inline constexpr char kModVataDerive[] = "vata.derive";
-/// key/foreign-key constraint translation (phase: constraints)
-inline constexpr char kModConstraintsTranslate[] = "constraints.translate";
 /// constraint-audit ILP round trip (phase: constraints)
 inline constexpr char kModConstraintsKeyfkIlp[] = "constraints.keyfk_ilp";
-/// XPath to FO2 translation + containment facades (phase: xpath)
-inline constexpr char kModXpathTranslate[] = "xpath.translate";
 /// fo2dtd admission control: queue caps, shedding ladder (phase: frontend)
 inline constexpr char kModServerAdmission[] = "server.admission";
 /// fo2dtd worker pool: per-request solve execution (phase: frontend)
 inline constexpr char kModServerWorker[] = "server.worker";
-/// fo2dtd SIGTERM drain: stop accepting, settle in-flight work (phase: frontend)
-inline constexpr char kModServerDrain[] = "server.drain";
 
 inline constexpr const char* kAllModules[] = {
     kModFrontendSolver,
     kModFrontendEnumerate,
-    kModLogicScott,
-    kModLogicDnf,
-    kModPuzzleBuild,
     kModPuzzleCounting,
     kModPuzzleBounded,
     kModLctaEmptiness,
@@ -71,27 +56,12 @@ inline constexpr const char* kAllModules[] = {
     kModSolverlpSimplex,
     kModSolverlpLinear,
     kModVataDerive,
-    kModConstraintsTranslate,
     kModConstraintsKeyfkIlp,
-    kModXpathTranslate,
     kModServerAdmission,
     kModServerWorker,
-    kModServerDrain,
 };
 inline constexpr std::size_t kNumModules =
     sizeof(kAllModules) / sizeof(kAllModules[0]);
-
-// ---- Trace span names (FO2DT_TRACE_SPAN sites that are not modules) ----
-/// per-type DNF expansion step
-inline constexpr char kSpanLogicDnfType[] = "logic.dnf.type";
-/// one accepting-root branch of the LCTA fan-out
-inline constexpr char kSpanLctaSolveRoot[] = "lcta.solve_root";
-/// one connectivity-cut refinement round
-inline constexpr char kSpanLctaCutRound[] = "lcta.cut_round";
-/// small-witness brute-force cross-check
-inline constexpr char kSpanLctaWitnessBruteforce[] = "lcta.witness_bruteforce";
-/// cold simplex tableau (re)build
-inline constexpr char kSpanSolverlpTableauBuild[] = "solverlp.tableau_build";
 
 // ---- Failpoint sites (FO2DT_FAILPOINT; keep in sync with DESIGN.md) ----
 /// arg: bool* — force the limb path in BigInt operator+ and SubMul
@@ -369,15 +339,12 @@ inline constexpr std::size_t kNumCaptureModes =
 inline constexpr char kBundleFileManifestJson[] = "manifest.json";
 /// replayable serialized input (fo2dt_replay format)
 inline constexpr char kBundleFileInputFo2dt[] = "input.fo2dt";
-/// trace-ring export, Chrome trace-event JSON
-inline constexpr char kBundleFileTraceJson[] = "trace.json";
 /// MetricsRegistry snapshot at capture time
 inline constexpr char kBundleFileMetricsJson[] = "metrics.json";
 
 inline constexpr const char* kAllBundleFiles[] = {
     kBundleFileManifestJson,
     kBundleFileInputFo2dt,
-    kBundleFileTraceJson,
     kBundleFileMetricsJson,
 };
 inline constexpr std::size_t kNumBundleFiles =
@@ -408,8 +375,6 @@ inline constexpr LockRankEntry kLockCacheSolve{"cache.solve", 80};
 inline constexpr LockRankEntry kLockCacheIntern{"cache.intern", 90};
 /// per-thread stats live list + retired totals (ThreadStats::Registry::mu)
 inline constexpr LockRankEntry kLockStatsRegistry{"stats.registry", 100};
-/// trace recorder ring buffer + open-span table (TraceRecorder::mu_)
-inline constexpr LockRankEntry kLockTraceRing{"trace.ring", 110};
 /// query-log JSONL append sink (QueryLog::mu_)
 inline constexpr LockRankEntry kLockQuerylogSink{"querylog.sink", 120};
 /// failpoint site map; taken inside FO2DT_FAILPOINT at arbitrary solve depth (Failpoints::mu_)
@@ -428,7 +393,6 @@ inline constexpr LockRankEntry kAllLockRanks[] = {
     kLockCacheSolve,
     kLockCacheIntern,
     kLockStatsRegistry,
-    kLockTraceRing,
     kLockQuerylogSink,
     kLockFailpointRegistry,
     kLockAutomataCsr,

@@ -164,8 +164,7 @@ Result<SatResult> CheckConsistencyBounded(const TreeAutomaton& schema,
         // Translation is charged to kConstraints; the bounded search inside
         // the frontend call times itself (and attaches the PhaseProfile).
         Formula query = [&] {
-          ScopedPhase phase(names::kModConstraintsTranslate,
-                            Phase::kConstraints, options.exec);
+          ScopedPhase phase(Phase::kConstraints, options.exec);
           return ConstraintSetToFo2(set);
         }();
         return CheckFo2SatisfiabilityBounded(query, opt);
@@ -194,8 +193,7 @@ Result<SatResult> CheckImplicationBounded(const TreeAutomaton& schema,
        .budgets = SearchBudgets(options)},
       {.outcome = SolveOutcomeFromSat}, [&] {
         Formula query = [&] {
-          ScopedPhase phase(names::kModConstraintsTranslate,
-                            Phase::kConstraints, options.exec);
+          ScopedPhase phase(Phase::kConstraints, options.exec);
           return Formula::And(ConstraintSetToFo2(premises),
                               Formula::Not(conclusion));
         }();
@@ -210,8 +208,7 @@ Result<SatResult> CheckKeyForeignKeyConsistencyIlpImpl(
     const LctaOptions& options) {
   // Self time = cardinality-constraint construction; the LCTA emptiness call
   // below runs its own kLcta/kIlp scopes.
-  ScopedPhase phase(names::kModConstraintsKeyfkIlp, Phase::kConstraints,
-                    options.exec);
+  ScopedPhase phase(Phase::kConstraints, options.exec);
   // Cardinality conditions over label counts: variable Q + l counts label l.
   const VarId q = static_cast<VarId>(schema.num_states());
   std::vector<LinearConstraint> parts;

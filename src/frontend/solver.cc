@@ -356,8 +356,7 @@ Result<SatResult> CheckFo2SatisfiabilityBounded(const Formula& sentence,
       CachedSatCodec(SatMethod::kBoundedModelSearch, kFrontendModule,
                      std::move(witness)),
       [&]() -> Result<SatResult> {
-        ScopedPhase phase(names::kModFrontendEnumerate, Phase::kBoundedSearch,
-                          options.exec);
+        ScopedPhase phase(Phase::kBoundedSearch, options.exec);
         ModelEnumerator enumerator(sentence, num_labels, options);
         Result<SatResult> r = enumerator.Run();
         if (r.ok()) phase.AddEffort(r->steps);
@@ -546,8 +545,7 @@ Result<SatResult> CheckDnfSatisfiability(const DataNormalForm& dnf,
         // Facade glue only: each sub-pipeline (puzzle construction,
         // counting, LCTA, ILP, bounded search) runs its own scope, so
         // kFrontend self time is the per-block orchestration cost.
-        ScopedPhase phase(names::kModFrontendSolver, Phase::kFrontend,
-                          options.exec);
+        ScopedPhase phase(Phase::kFrontend, options.exec);
         return CheckDnfSatisfiabilityImpl(dnf, options);
       });
 }

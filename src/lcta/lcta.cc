@@ -16,7 +16,6 @@
 #include "common/solve_cache.h"
 #include "common/strings.h"
 #include "common/thread_stats.h"
-#include "common/trace.h"
 #include "solverlp/ilp.h"
 
 namespace fo2dt {
@@ -316,7 +315,7 @@ Status SolveRoot(const Lcta& lcta, const Grammar& g, TreeState root,
                  const IlpOptions& ilp_options, RootOutcome* out) {
   // Self time = flow building + cut machinery (the nested ILP solves carry
   // their own kIlp scopes); effort = cut rounds.
-  ScopedPhase phase(names::kSpanLctaSolveRoot, Phase::kLcta, options.exec);
+  ScopedPhase phase(Phase::kLcta, options.exec);
   // This worker thread's arena scratch (DNF cut scratch, connectivity
   // fixpoints, run-set rows) is billed to this solve's governor while the
   // root is being worked.
@@ -329,7 +328,6 @@ Status SolveRoot(const Lcta& lcta, const Grammar& g, TreeState root,
       LinearConstraint::And(flow, lcta.constraint)
           .ToDnf(options.max_dnf_branches));
   for (size_t cut_round = 0;; ++cut_round) {
-    FO2DT_TRACE_SPAN(names::kSpanLctaCutRound);
     phase.AddEffort(1);
     if (cut_round > options.max_cuts) {
       return Status::ResourceExhausted(
@@ -469,7 +467,7 @@ Result<LctaEmptinessResult> CheckLctaEmptinessImpl(const Lcta& lcta,
   // kLcta scope, and a running main-thread clock would bill the join wait to
   // kLcta, double-counting the workers' time. Memory stays attributed to
   // kLcta until return.
-  ScopedPhase phase(names::kModLctaEmptiness, Phase::kLcta, options.exec);
+  ScopedPhase phase(Phase::kLcta, options.exec);
   // Main-thread arena accounting for the shared grammar build; each fan-out
   // worker's SolveRoot installs its own attachment for its thread's arena.
   ScopedArenaAccounting arena_accounting(options.exec, kLctaModule);
@@ -707,7 +705,7 @@ std::vector<std::vector<uint32_t>> EnumerateTreeShapes(size_t num_nodes) {
 
 Result<DataTree> FindLctaWitnessBounded(const Lcta& lcta, size_t max_nodes,
                                         const ExecutionContext* exec) {
-  ScopedPhase phase(names::kSpanLctaWitnessBruteforce, Phase::kLcta, exec);
+  ScopedPhase phase(Phase::kLcta, exec);
   ExecCheckpoint checkpoint(exec, nullptr, kLctaModule);
   const TreeAutomaton& a = lcta.automaton;
   const size_t num_symbols = a.num_symbols();

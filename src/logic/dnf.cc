@@ -3,7 +3,6 @@
 #include <map>
 
 #include "common/metrics.h"
-#include "common/registry_names.h"
 #include "common/strings.h"
 #include "datatree/zones.h"
 
@@ -100,7 +99,7 @@ Result<TypeSet> TypeFromFormulaImpl(const Formula& f, const ExtAlphabet& ext) {
 }  // namespace
 
 Result<TypeSet> TypeFromFormula(const Formula& f, const ExtAlphabet& ext) {
-  ScopedPhase phase(names::kSpanLogicDnfType, Phase::kDnf);
+  ScopedPhase phase(Phase::kDnf);
   return TypeFromFormulaImpl(f, ext);
 }
 

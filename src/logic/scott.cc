@@ -1,7 +1,6 @@
 #include "logic/scott.h"
 
 #include "common/metrics.h"
-#include "common/registry_names.h"
 #include "common/strings.h"
 
 namespace fo2dt {
@@ -150,7 +149,7 @@ struct ScottBuilder {
 
 Result<ScottNormalForm> ToScottNormalForm(const Formula& sentence,
                                           PredId num_existing_preds) {
-  ScopedPhase phase(names::kModLogicScott, Phase::kScott);
+  ScopedPhase phase(Phase::kScott);
   if (!sentence.IsSentence()) {
     return Status::InvalidArgument("Scott normal form requires a sentence");
   }

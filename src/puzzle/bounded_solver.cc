@@ -126,8 +126,7 @@ class ShapeSearch {
 
 Result<BoundedSolveResult> SolvePuzzleBounded(
     const Puzzle& puzzle, const BoundedSolveOptions& options) {
-  ScopedPhase phase(names::kModPuzzleBounded, Phase::kBoundedSearch,
-                    options.exec);
+  ScopedPhase phase(Phase::kBoundedSearch, options.exec);
   BoundedSolveResult out;
   // Flushes the step count as phase effort on every exit path, including
   // error propagation (destroyed before phase by construction order).

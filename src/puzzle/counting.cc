@@ -143,8 +143,7 @@ Result<CountingResult> CheckPuzzleUnsatByCounting(
     const Puzzle& puzzle, const CountingOptions& options) {
   // Self time = region/class-type abstraction building; the LCTA emptiness
   // call below carries its own kLcta scope.
-  ScopedPhase phase(names::kModPuzzleCounting, Phase::kPuzzle,
-                    options.lcta.exec);
+  ScopedPhase phase(Phase::kPuzzle, options.lcta.exec);
   CountingResult out;
   // Collect condition types (alpha, beta) with indices.
   std::vector<const TypeSet*> types;

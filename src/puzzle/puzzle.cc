@@ -5,14 +5,13 @@
 #include <map>
 
 #include "common/metrics.h"
-#include "common/registry_names.h"
 #include "common/strings.h"
 #include "datatree/zones.h"
 
 namespace fo2dt {
 
 Result<Puzzle> PuzzleFromBlock(const DnfBlock& block, const ExtAlphabet& ext) {
-  ScopedPhase phase(names::kModPuzzleBuild, Phase::kPuzzle);
+  ScopedPhase phase(Phase::kPuzzle);
   Puzzle out;
   out.ext = ext;
   const size_t num_profiled = ext.profiled_size();

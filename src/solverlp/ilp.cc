@@ -262,7 +262,7 @@ Result<IlpSolution> FindIntegerPointImpl(const LinearSystem& system,
                                          size_t* nodes_used) {
   // One phase scope per DNF-branch solve; covers the nested simplex work too
   // (simplex and B&B are one attribution phase). Effort = B&B nodes.
-  ScopedPhase phase(names::kModSolverlpIlp, Phase::kIlp, options.exec);
+  ScopedPhase phase(Phase::kIlp, options.exec);
   IlpSolution out;
   // Both search phases' tableaux share the normalized system for their
   // rebuild safety net; none outlives this call.

@@ -6,7 +6,6 @@
 #include "common/failpoint.h"
 #include "common/metrics.h"
 #include "common/registry_names.h"
-#include "common/trace.h"
 
 namespace fo2dt {
 
@@ -366,7 +365,6 @@ Result<IncrementalSimplex> IncrementalSimplex::Create(
 Result<IncrementalSimplex> IncrementalSimplex::CreateInternal(
     std::shared_ptr<const LinearSystem> base, VarId num_vars,
     const ExecutionContext* exec, CancellationToken token) {
-  FO2DT_TRACE_SPAN(names::kSpanSolverlpTableauBuild);
   ++SimplexStats::Local().tableau_builds;
 
   IncrementalSimplex t;

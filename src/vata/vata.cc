@@ -54,7 +54,7 @@ struct Candidate {
 Result<std::vector<std::vector<Candidate>>> DeriveAll(
     const VataAutomaton& a, const DataTree& t, size_t max_candidates,
     const ExecutionContext* exec) {
-  ScopedPhase phase(names::kModVataDerive, Phase::kVata, exec);
+  ScopedPhase phase(Phase::kVata, exec);
   if (!IsBinaryTree(t)) {
     return Status::InvalidArgument("VATA runs require a binary tree");
   }

@@ -943,8 +943,7 @@ Result<SatResult> CheckXPathSatisfiability(const XpPath& path,
         // Translation is charged to kXpath; the solver call at the end times
         // itself (and attaches the PhaseProfile), so the scope closes first.
         Result<Formula> query = [&]() -> Result<Formula> {
-          ScopedPhase phase(names::kModXpathTranslate, Phase::kXpath,
-                            options.exec);
+          ScopedPhase phase(Phase::kXpath, options.exec);
           FO2DT_ASSIGN_OR_RETURN(SafetyAssociations assoc,
                                  CheckSafety({&path}));
           FO2DT_ASSIGN_OR_RETURN(Formula selected,
@@ -972,8 +971,7 @@ Result<SatResult> CheckXPathContainment(const XpPath& p, const XpPath& q,
                          options),
       {.outcome = SolveOutcomeFromSat}, [&]() -> Result<SatResult> {
         Result<Formula> query = [&]() -> Result<Formula> {
-          ScopedPhase phase(names::kModXpathTranslate, Phase::kXpath,
-                            options.exec);
+          ScopedPhase phase(Phase::kXpath, options.exec);
           FO2DT_ASSIGN_OR_RETURN(SafetyAssociations assoc,
                                  CheckSafety({&p, &q}));
           FO2DT_ASSIGN_OR_RETURN(Formula in_p, TranslateXPathToFo2(p, assoc));

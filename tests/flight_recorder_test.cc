@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <regex>
 #include <sstream>
 #include <string>
@@ -532,12 +533,12 @@ TEST(FlightRecorderTest, SlowSolveTailSamplingCapturesDefiniteVerdicts) {
   ASSERT_EQ(lines.size(), 2u);
   // Under the threshold with a definite verdict: record, no bundle.
   EXPECT_EQ(JsonStringField(lines[0], "capture"), "") << lines[0];
-  // Past the threshold: tail-sampled — a bundle with the trace-ring dump
+  // Past the threshold: tail-sampled — a bundle with the metrics snapshot
   // explains the latency even though the verdict was definite.
   std::string bundle = JsonStringField(lines[1], "capture");
   ASSERT_FALSE(bundle.empty()) << lines[1];
   EXPECT_TRUE(std::filesystem::exists(
-      bundle + "/" + names::kBundleFileTraceJson));
+      bundle + "/" + names::kBundleFileMetricsJson));
   EXPECT_TRUE(std::filesystem::exists(
       bundle + "/" + names::kBundleFileManifestJson));
 
@@ -603,12 +604,14 @@ TEST(FlightRecorderTest, FailpointCaptureReplaysIdentically) {
   std::string bundle = JsonStringField(record, "capture");
   ASSERT_FALSE(bundle.empty()) << "degraded solve must capture a bundle";
 
-  for (const char* file :
-       {names::kBundleFileManifestJson, names::kBundleFileInputFo2dt,
-        names::kBundleFileTraceJson, names::kBundleFileMetricsJson}) {
+  for (const char* file : names::kAllBundleFiles) {
     EXPECT_TRUE(std::filesystem::exists(bundle + "/" + file))
         << "bundle missing " << file;
   }
+  // The bundle holds the registered files and nothing else.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(bundle),
+                          std::filesystem::directory_iterator()),
+            static_cast<std::ptrdiff_t>(names::kNumBundleFiles));
   std::ifstream in(bundle + "/" + names::kBundleFileInputFo2dt);
   std::stringstream input_text;
   input_text << in.rdbuf();

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -26,9 +27,12 @@
 #include "arith/bigint.h"
 #include "common/execution_context.h"
 #include "common/failpoint.h"
+#include "common/flight_recorder.h"
 #include "common/metrics.h"
+#include "common/strings.h"
 #include "common/thread_stats.h"
 #include "constraints/constraints.h"
+#include "datatree/text_io.h"
 #include "frontend/solver.h"
 #include "lcta/lcta.h"
 #include "logic/parser.h"
@@ -639,6 +643,145 @@ TEST(FailpointTest, LctaCutRoundFaultSurfacesCleanStatus) {
   EXPECT_NE(r.status().ToString().find("injected cut-round fault"),
             std::string::npos)
       << r.status().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Facade results are a function of input + budgets + thread count
+// ---------------------------------------------------------------------------
+
+/// Every SatResult field the cache, replay and query log store, except wall
+/// time and memory: verdict, method, steps, stop reason, witness (as
+/// replay-alphabet text plus predicate membership) and each phase's
+/// calls/effort.
+std::string DeterministicFields(const SatResult& r, size_t num_labels) {
+  std::string out = StringFormat("%s %s steps=%llu",
+                                  SatVerdictToString(r.verdict),
+                                  SatMethodToString(r.method),
+                                  static_cast<unsigned long long>(r.steps));
+  if (r.stop_reason.has_value()) {
+    const StopReason& stop = *r.stop_reason;
+    out += StringFormat(" stop=%s/%s/%llu/%llu", StopKindToString(stop.kind),
+                        stop.module,
+                        static_cast<unsigned long long>(stop.counter),
+                        static_cast<unsigned long long>(stop.limit));
+  }
+  if (r.witness.has_value()) {
+    out += " witness=" +
+           DataTreeToText(*r.witness, MakeReplayAlphabet(num_labels));
+  }
+  if (r.witness_interp.has_value()) {
+    for (const std::vector<char>& pred : r.witness_interp->membership) {
+      out += " pred=";
+      for (char member : pred) out += member != 0 ? '1' : '0';
+    }
+  }
+  if (r.profile.has_value()) {
+    for (size_t i = 0; i < kPhaseCount; ++i) {
+      const PhaseProfile::Entry& e = r.profile->phases[i];
+      if (e.calls == 0) continue;
+      out += StringFormat(" %s=%llu/%llu", PhaseName(static_cast<Phase>(i)),
+                          static_cast<unsigned long long>(e.calls),
+                          static_cast<unsigned long long>(e.effort));
+    }
+  }
+  return out;
+}
+
+/// Two DNF blocks over labels {0, 1}: the first forbids label 0 everywhere
+/// yet requires a label-0 root (the counting abstraction proves it dead),
+/// the second allows at most one label-0 node per class (bounded search
+/// finds a model).
+DataNormalForm DeadAndLiveDnf() {
+  DataNormalForm dnf;
+  dnf.ext = ExtAlphabet{2, 0};
+  const ExtAlphabet& ext = dnf.ext;
+  TypeSet label0(ext.size(), 0);
+  label0[0] = 1;
+  DnfBlock dead;
+  SimpleFormula no0;
+  no0.kind = SimpleFormula::Kind::kNoCoexist;
+  no0.alpha = label0;
+  no0.beta = label0;
+  dead.simples.push_back(no0);
+  TreeAutomaton root0(ext.profiled_size(), 1);
+  root0.SetInitial(0);
+  for (Symbol s = 0; s < ext.profiled_size(); ++s) {
+    root0.AddHorizontal(0, s, 0);
+    root0.AddVertical(0, s, 0);
+    if (ext.LabelOf(ext.ExtOf(s)) == 0) root0.SetAccepting(0, s);
+  }
+  dead.regular.push_back(root0);
+  DnfBlock live;
+  SimpleFormula amo;
+  amo.kind = SimpleFormula::Kind::kAtMostOne;
+  amo.alpha = label0;
+  live.simples.push_back(amo);
+  dnf.blocks = {dead, live};
+  return dnf;
+}
+
+// Each facade's LCTA root fan-out (and the ILP's DNF fan-out it sizes) runs
+// at 1, 2 and 8 threads, each solve under its own ExecutionContext; every
+// stored field must match the single-threaded reference, pinned here. The
+// thread counts are explicit, so a 1-CPU host still runs the race.
+TEST(DeterminismTest, FacadeResultsIdenticalAcrossThreadCounts) {
+  Watchdog watchdog(std::chrono::seconds(120));
+  struct Case {
+    const char* name;
+    std::function<Result<SatResult>(size_t, const ExecutionContext*)> solve;
+    size_t num_labels;
+    std::string pinned;
+  };
+  const KeyFkFamily consistent = MakeKeyFkFamily(2, /*consistent=*/true);
+  const KeyFkFamily inconsistent = MakeKeyFkFamily(2, /*consistent=*/false);
+  auto keyfk = [](const KeyFkFamily& f) {
+    return [&f](size_t threads, const ExecutionContext* exec) {
+      LctaOptions opt;
+      opt.num_threads = threads;
+      opt.exec = exec;
+      return CheckKeyForeignKeyConsistencyIlp(f.schema, f.set, opt);
+    };
+  };
+  // Every (state, symbol) pair of the universal schema is an accepting
+  // root, so the LCTA root fan-out has several roots to race on.
+  KeyFkFamily universal;
+  universal.schema = TreeAutomaton::Universal(4);
+  universal.set.keys.push_back(UnaryKey{2, 3});
+  universal.set.inclusions.push_back(UnaryInclusion{0, 1, 2, 3});
+  const DataNormalForm dnf = DeadAndLiveDnf();
+  auto dnf_sat = [&dnf](uint64_t max_steps) {
+    return [&dnf, max_steps](size_t threads, const ExecutionContext* exec) {
+      SolverOptions opt;
+      opt.max_model_nodes = 3;
+      opt.puzzle_search.max_steps = max_steps;
+      opt.counting.lcta.num_threads = threads;
+      opt.exec = exec;
+      return CheckDnfSatisfiability(dnf, opt);
+    };
+  };
+  const std::vector<Case> cases = {
+      {"keyfk consistent", keyfk(consistent), consistent.labels.size(),
+       "SAT counting_abstraction steps=4 lcta=2/1 ilp=4/4 constraints=1/0"},
+      {"keyfk inconsistent", keyfk(inconsistent), inconsistent.labels.size(),
+       "UNSAT counting_abstraction steps=1 lcta=2/1 ilp=1/1 constraints=1/0"},
+      {"keyfk universal schema", keyfk(universal), 4,
+       "SAT counting_abstraction steps=2 lcta=2/1 ilp=2/2 constraints=1/0"},
+      {"dnf", dnf_sat(20000000), dnf.ext.size(),
+       "SAT puzzle_pipeline steps=3 witness=l0:0 puzzle=2/0 bounded_search=1/1 "
+       "lcta=4/2 ilp=2/2 frontend=1/0"},
+      {"dnf step budget", dnf_sat(0), dnf.ext.size(),
+       "UNKNOWN puzzle_pipeline steps=3 stop=step budget/puzzle.bounded/1/0 "
+       "puzzle=2/0 bounded_search=1/1 lcta=4/2 ilp=2/2 frontend=1/0"},
+  };
+  for (const Case& c : cases) {
+    for (size_t threads : {1u, 2u, 8u}) {
+      ExecutionContext exec;
+      Result<SatResult> r = c.solve(threads, &exec);
+      ASSERT_TRUE(r.ok()) << c.name << ": " << r.status().ToString();
+      EXPECT_EQ(DeterministicFields(*r, c.num_labels), c.pinned)
+          << c.name << " at " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

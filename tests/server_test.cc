@@ -911,7 +911,7 @@ TEST(SolveServerTest, RequestIdJoinsWireLogAndBundle) {
   EXPECT_EQ(JsonStrField(records[1], "request_id"), minted) << records[1];
 
   // The degraded solve captured a bundle whose manifest embeds the same
-  // record — correlation id included — next to the trace-ring dump.
+  // record — correlation id included — next to the metrics snapshot.
   std::string bundle = JsonStrField(records[0], "capture");
   ASSERT_FALSE(bundle.empty()) << records[0];
   std::vector<std::string> manifest =
@@ -921,7 +921,7 @@ TEST(SolveServerTest, RequestIdJoinsWireLogAndBundle) {
             std::string::npos)
       << manifest[0];
   EXPECT_TRUE(std::filesystem::exists(
-      bundle + "/" + names::kBundleFileTraceJson));
+      bundle + "/" + names::kBundleFileMetricsJson));
   // The definite fast solve stays unsampled (no slow threshold configured).
   EXPECT_EQ(JsonStrField(records[1], "capture"), "") << records[1];
 

@@ -1,159 +1,23 @@
 /// \file trace_test.cc
-/// \brief Observability layer tests: TraceRecorder/TraceSpan, the per-phase
-/// scopes, PhaseProfile snapshots, and the MetricsRegistry federation.
-///
-/// The span-recording tests only run in builds compiled with FO2DT_TRACE
-/// (the sanitizer presets); release-style builds instead static_assert the
-/// zero-overhead contract — TraceSpan is an empty type whose constructor
-/// compiles to nothing. The snapshot-vs-reset tests exercise the registry's
-/// locking under concurrency and are meaningful under TSan.
+/// \brief Observability layer tests: the per-phase scopes, PhaseProfile
+/// snapshots, and the MetricsRegistry federation. The snapshot-vs-reset
+/// tests exercise the registry's locking under concurrency and are
+/// meaningful under TSan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/execution_context.h"
 #include "common/metrics.h"
-#include "common/trace.h"
 #include "solverlp/ilp.h"
 
 namespace fo2dt {
 namespace {
-
-// ---------------------------------------------------------------------------
-// TraceSpan cost contract
-// ---------------------------------------------------------------------------
-
-#ifndef FO2DT_TRACE
-// The whole point of the compile-time gate: a span in a release build is an
-// empty object with a no-op constructor, so FO2DT_TRACE_SPAN cannot perturb
-// benchmark numbers.
-static_assert(std::is_empty_v<TraceSpan>,
-              "TraceSpan must compile to an empty type without FO2DT_TRACE");
-static_assert(sizeof(TraceSpan) == 1,
-              "TraceSpan must carry no state without FO2DT_TRACE");
-#endif
-
-TEST(TraceRecorderTest, RingBufferOverwritesOldestAndCountsDrops) {
-  TraceRecorder& rec = TraceRecorder::Instance();
-  rec.SetCapacity(4);
-  EXPECT_EQ(rec.size(), 0u);
-  for (uint64_t i = 1; i <= 6; ++i) {
-    TraceEvent ev;
-    ev.id = i;
-    ev.name = "test.event";
-    ev.start_ns = i * 10;
-    ev.end_ns = i * 10 + 5;
-    rec.Record(ev);
-  }
-  EXPECT_EQ(rec.size(), 4u);
-  EXPECT_EQ(rec.dropped(), 2u);
-  std::vector<TraceEvent> events = rec.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest first, events 1 and 2 overwritten.
-  EXPECT_EQ(events.front().id, 3u);
-  EXPECT_EQ(events.back().id, 6u);
-  rec.Clear();
-  EXPECT_EQ(rec.size(), 0u);
-  EXPECT_EQ(rec.dropped(), 0u);
-  rec.SetCapacity(TraceRecorder::kDefaultCapacity);
-}
-
-TEST(TraceRecorderTest, WriteJsonEmitsChromeTraceShape) {
-  TraceRecorder& rec = TraceRecorder::Instance();
-  rec.SetCapacity(16);
-  TraceEvent ev;
-  ev.id = 1;
-  ev.name = "lcta.cut_round";
-  ev.start_ns = 1000;
-  ev.end_ns = 3500;
-  rec.Record(ev);
-  std::string path = ::testing::TempDir() + "/fo2dt_trace_test.json";
-  ASSERT_TRUE(rec.WriteJson(path).ok());
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  std::string content(1 << 12, '\0');
-  content.resize(std::fread(content.data(), 1, content.size(), f));
-  std::fclose(f);
-  EXPECT_NE(content.find("\"traceEvents\""), std::string::npos) << content;
-  EXPECT_NE(content.find("lcta.cut_round"), std::string::npos) << content;
-  EXPECT_NE(content.find("\"ph\":\"X\""), std::string::npos) << content;
-  std::remove(path.c_str());
-  rec.Clear();
-  rec.SetCapacity(TraceRecorder::kDefaultCapacity);
-}
-
-#ifdef FO2DT_TRACE
-
-TEST(TraceSpanTest, NestedSpansLinkParentIds) {
-  TraceRecorder& rec = TraceRecorder::Instance();
-  rec.SetCapacity(64);
-  rec.Clear();
-  bool was_enabled = rec.enabled();
-  rec.SetEnabled(true);
-  {
-    TraceSpan outer("test.outer");
-    { TraceSpan inner("test.inner"); }
-  }
-  rec.SetEnabled(was_enabled);
-  std::vector<TraceEvent> events = rec.Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  // Inner closes first; its parent is the outer span, whose parent is the
-  // thread's stack root (0).
-  const TraceEvent& inner = events[0];
-  const TraceEvent& outer = events[1];
-  EXPECT_STREQ(inner.name, "test.inner");
-  EXPECT_STREQ(outer.name, "test.outer");
-  EXPECT_EQ(inner.parent, outer.id);
-  EXPECT_EQ(outer.parent, 0u);
-  EXPECT_LE(outer.start_ns, inner.start_ns);
-  EXPECT_LE(inner.end_ns, outer.end_ns);
-  rec.Clear();
-  rec.SetCapacity(TraceRecorder::kDefaultCapacity);
-}
-
-TEST(TraceSpanTest, MultiThreadedEmissionUnderFanout) {
-  TraceRecorder& rec = TraceRecorder::Instance();
-  rec.SetCapacity(1 << 10);
-  rec.Clear();
-  bool was_enabled = rec.enabled();
-  rec.SetEnabled(true);
-  constexpr size_t kBranches = 4;
-  constexpr int kSpansPerBranch = 50;
-  FirstWinsFanout fanout(kBranches, CancellationToken());
-  std::vector<std::thread> threads;
-  for (size_t b = 0; b < kBranches; ++b) {
-    threads.emplace_back([&fanout, b] {
-      for (int i = 0; i < kSpansPerBranch; ++i) {
-        if (fanout.TokenFor(b).IsCancelled()) break;
-        TraceSpan span("test.branch_work");
-        if (i == kSpansPerBranch / 2 && b == 1) fanout.MarkTerminal(b);
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  rec.SetEnabled(was_enabled);
-  std::vector<TraceEvent> events = rec.Snapshot();
-  // Branches above the terminal index stop early; everything recorded is
-  // well-formed and each event's parent stayed on its own thread's stack
-  // (here: all top-level, so parent == 0).
-  EXPECT_GT(events.size(), static_cast<size_t>(kSpansPerBranch));
-  for (const TraceEvent& ev : events) {
-    EXPECT_STREQ(ev.name, "test.branch_work");
-    EXPECT_EQ(ev.parent, 0u);
-    EXPECT_LE(ev.start_ns, ev.end_ns);
-  }
-  rec.Clear();
-  rec.SetCapacity(TraceRecorder::kDefaultCapacity);
-}
-
-#endif  // FO2DT_TRACE
 
 // ---------------------------------------------------------------------------
 // Phase mapping and timers
@@ -182,11 +46,11 @@ TEST(PhaseTest, ScopedTimerAttributesSelfTimeExclusively) {
   PhaseStats::Reset();
   constexpr auto kSleep = std::chrono::milliseconds(20);
   {
-    ScopedPhase outer("test.outer", Phase::kLcta);
+    ScopedPhase outer(Phase::kLcta);
     outer.AddEffort(3);
     std::this_thread::sleep_for(kSleep);
     {
-      ScopedPhase inner("test.inner", Phase::kIlp);
+      ScopedPhase inner(Phase::kIlp);
       inner.AddEffort(7);
       std::this_thread::sleep_for(kSleep);
     }
@@ -211,7 +75,7 @@ TEST(PhaseTest, ScopedTimerAttributesSelfTimeExclusively) {
 TEST(PhaseTest, TimerFeedsExecutionContextProfile) {
   ExecutionContext exec;
   {
-    ScopedPhase phase("test.ilp", Phase::kIlp, &exec);
+    ScopedPhase phase(Phase::kIlp, &exec);
     phase.AddEffort(5);
     // Charged inside the scope: the phase, not the module, owns the bytes.
     ASSERT_TRUE(exec.ChargeMemory(4096, "test.module").ok());

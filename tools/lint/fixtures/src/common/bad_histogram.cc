@@ -7,9 +7,9 @@ namespace fo2dt {
 void UnscrapableHistograms() {
   // Inline string literal: the series exists but the registry never saw it.
   Histogram ad_hoc{"my.private_ms"};
-  // Paren form with a registered constant of the wrong category (a span
+  // Paren form with a registered constant of the wrong category (a module
   // name is not a histogram metric).
-  Histogram wrong_category(names::kSpanLctaSolveRoot);
+  Histogram wrong_category(names::kModLctaEmptiness);
   (void)ad_hoc;
   (void)wrong_category;
 }

@@ -11,8 +11,8 @@ enforces them:
                          CancellationToken::IsCancelled, FirstWinsFanout::
                          Abandoned) inside the loop body, so deadlines and
                          cancellation actually fire.
-  unregistered-name      governor module strings, trace span names, metric
-                         keys — any dotted name literal — must come from the
+  unregistered-name      governor module strings, metric keys — any
+                         dotted name literal — must come from the
                          generated registry header (src/common/
                          registry_names.h); inline literals drift.
   unknown-constant       a names::k... reference that the registry does not
@@ -236,7 +236,6 @@ class Linter:
         self.constants = {}  # constant name -> (category, value)
         for category, key, prefix in (
                 ("module", "modules", "kMod"),
-                ("span", "spans", "kSpan"),
                 ("failpoint", "failpoints", "kFp"),
                 ("metric", "metric_keys", "kMetric"),
                 ("facade", "facades", "kFacade"),

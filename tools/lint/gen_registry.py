@@ -2,8 +2,8 @@
 """Generates src/common/registry_names.h from tools/lint/registry.json.
 
 The JSON file is the single source of truth for every registered name in the
-solver pipeline (governor modules, trace spans, failpoints, phases, metric
-keys, bench counter grammar). This script renders it as a header of
+solver pipeline (governor modules, failpoints, phases, metric keys, bench
+counter grammar). This script renders it as a header of
 `inline constexpr` string constants plus lookup tables, deterministically,
 so the header can be committed and checked for drift.
 
@@ -35,7 +35,6 @@ def camel(dotted: str) -> str:
 def const_name(category: str, dotted: str) -> str:
     prefix = {
         "module": "kMod",
-        "span": "kSpan",
         "failpoint": "kFp",
         "metric": "kMetric",
         "facade": "kFacade",
@@ -47,9 +46,22 @@ def const_name(category: str, dotted: str) -> str:
     return prefix + camel(dotted)
 
 
+# Every top-level section the registry may hold. All but ordered_containers
+# (read only by fo2dt_lint.py) are rendered below; an unlisted section, such
+# as a retired category left behind, is an error rather than silently ignored.
+SECTIONS = {
+    "_comment", "modules", "failpoints", "phases", "phase_prefixes",
+    "metric_keys", "facades", "log_fields", "capture_modes", "bundle_files",
+    "lock_ranks", "bench_counters", "ordered_containers",
+}
+
+
 def load_registry(path: str = REGISTRY_JSON) -> dict:
     with open(path, "r", encoding="utf-8") as f:
         reg = json.load(f)
+    unknown = sorted(set(reg) - SECTIONS)
+    if unknown:
+        raise ValueError(f"unknown registry section(s): {unknown}")
     phases = reg["phases"]
     # Internal consistency: every phase referenced must be declared, and the
     # prefix table must stay longest-prefix-first so PhaseForModule's walk is
@@ -68,7 +80,6 @@ def load_registry(path: str = REGISTRY_JSON) -> dict:
                     f"phase_prefixes: '{earlier}' shadows the later, more"
                     f" specific '{later}' — order longest-prefix-first")
     names = ([m["name"] for m in reg["modules"]]
-             + [s["name"] for s in reg["spans"]]
              + [f["name"] for f in reg.get("facades", [])])
     dupes = {n for n in names if names.count(n) > 1}
     if dupes:
@@ -102,10 +113,10 @@ def render(reg: dict) -> str:
     w("/// — DO NOT EDIT BY HAND. Edit the JSON and re-run the generator; the")
     w("/// registry_names_up_to_date ctest fails when this file drifts.")
     w("///")
-    w("/// fo2dt_lint enforces that governor module strings, trace span names,")
-    w("/// and failpoint sites in src/** reference these constants instead of")
-    w("/// inline string literals, so a renamed phase or module cannot silently")
-    w("/// break StopReason attribution or the bench counter contract.")
+    w("/// fo2dt_lint enforces that governor module strings and failpoint sites")
+    w("/// in src/** reference these constants instead of inline string")
+    w("/// literals, so a renamed phase or module cannot silently break")
+    w("/// StopReason attribution or the bench counter contract.")
     w("")
     w("#pragma once")
     w("")
@@ -125,11 +136,6 @@ def render(reg: dict) -> str:
     w("};")
     w("inline constexpr std::size_t kNumModules =")
     w("    sizeof(kAllModules) / sizeof(kAllModules[0]);")
-    w("")
-    w("// ---- Trace span names (FO2DT_TRACE_SPAN sites that are not modules) ----")
-    for s in reg["spans"]:
-        w(f"/// {s['doc']}")
-        w(f"inline constexpr char {const_name('span', s['name'])}[] = \"{s['name']}\";")
     w("")
     w("// ---- Failpoint sites (FO2DT_FAILPOINT; keep in sync with DESIGN.md) ----")
     for fp in reg["failpoints"]:

@@ -12,7 +12,8 @@ ctest).
    rules detect violations, the clean run proves the tree honors the
    invariants.
 4. gen_registry.py must reject malformed registries (shadowed prefix
-   order, unknown phase, non-ascending lock ranks), detect drift between
+   order, unknown phase, non-ascending lock ranks, a section it does not
+   render such as the retired `spans`), detect drift between
    the JSON and the committed header, and pass --check on the committed
    pair.
 5. fixtures_deep/ exercises the three --deep rules (checkpoint-
@@ -153,6 +154,21 @@ def main():
     expect_check_fails(
         lambda b: b["lock_ranks"]["ranks"][0].update(doc="edited"),
         "generator --check detects lock_ranks drift against the header")
+    # Registry categories retire too: trace spans went with the trace ring,
+    # and phases are named by ScopedPhase's Phase alone.
+    check("spans" not in reg, "retired registry category 'spans' stays retired")
+    # Rendered without --check, so only the rejection (not drift) can fail.
+    bad = json.loads(json.dumps(reg))
+    bad["spans"] = [{"name": "lcta.cut_round", "doc": "one cut round"}]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "registry.json")
+        with open(path, "w", encoding="utf-8") as tf:
+            json.dump(bad, tf)
+        r = run([PY, GEN, "--registry", path,
+                 "--output", os.path.join(tmp, "registry_names.h")])
+        check(r.returncode != 0 and "unknown registry section" in r.stderr,
+              "generator rejects a registry section it does not render",
+              r.stdout + r.stderr)
 
     print(f"test_lint: {len(failures)} failure(s)")
     return 1 if failures else 0
